@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/pack_plan.hpp"
 #include "mpi/datatype.hpp"
 
 using mv2gnc::mpisim::Datatype;
@@ -103,10 +104,27 @@ void BM_TypeCommitVector(benchmark::State& state) {
   for (auto _ : state) {
     auto t = Datatype::vector(rows, 1, 4, Datatype::float32());
     t.commit();
-    benchmark::DoNotOptimize(t.segments().data());
+    benchmark::DoNotOptimize(t.groups().data());
   }
 }
-BENCHMARK(BM_TypeCommitVector)->Range(256, 1 << 16);
+BENCHMARK(BM_TypeCommitVector)->Range(256, 1 << 22);
+
+void BM_PlanCacheGetFreshType(benchmark::State& state) {
+  // The per-call-type pattern: build, commit and look up a fresh strided
+  // column (the paper's Fig-5 shape) every time, so each lookup misses the
+  // node tier and is answered by the signature tier.
+  const int rows = static_cast<int>(state.range(0));
+  auto& cache = mv2gnc::core::PlanCache::instance();
+  cache.reset();
+  for (auto _ : state) {
+    auto t = Datatype::vector(rows, 1, 2, Datatype::int32());
+    t.commit();
+    benchmark::DoNotOptimize(cache.get(t, 1).get());
+  }
+  state.counters["aliases"] = static_cast<double>(cache.alias_count());
+  cache.reset();
+}
+BENCHMARK(BM_PlanCacheGetFreshType)->Range(256, 1 << 22);
 
 void BM_Subarray3DPack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -34,9 +34,9 @@ PatternSlice slice_pattern(const MsgView& msg, std::size_t offset,
   if (r0 + rows > p.count) {
     throw std::out_of_range("slice_pattern: range beyond pattern");
   }
-  std::byte* first =
-      static_cast<std::byte*>(msg.base) + msg.dtype.segments().front().offset +
-      static_cast<std::int64_t>(r0) * p.stride_bytes;
+  std::byte* first = static_cast<std::byte*>(msg.base) +
+                     msg.dtype.groups().front().first_offset +
+                     static_cast<std::int64_t>(r0) * p.stride_bytes;
   return PatternSlice{first, rows, p.block_bytes,
                       static_cast<std::size_t>(p.stride_bytes)};
 }

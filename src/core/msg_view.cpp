@@ -28,9 +28,9 @@ MsgView MsgView::make(void* base, int count, const mpisim::Datatype& dtype,
 }
 
 std::byte* MsgView::first_segment_ptr() const {
-  const auto& segs = dtype.segments();
-  if (segs.empty()) return static_cast<std::byte*>(base);
-  return static_cast<std::byte*>(base) + segs.front().offset;
+  const auto& groups = dtype.groups();
+  if (groups.empty()) return static_cast<std::byte*>(base);
+  return static_cast<std::byte*>(base) + groups.front().first_offset;
 }
 
 }  // namespace mv2gnc::core

@@ -1,6 +1,7 @@
 #include "core/pack_plan.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace mv2gnc::core {
@@ -9,14 +10,24 @@ namespace {
 
 using mpisim::Datatype;
 using mpisim::PackCursor;
-using mpisim::Segment;
-using mpisim::VectorPattern;
 
-// FNV-1a over the canonical (flattened) layout. Constructor nesting that
-// flattens to the same segment list hashes identically: contiguous within
+// Expansion bound: beyond this many flattened runs the decomposition is
+// skipped and the layout is classified kIrregular outright (the generalized
+// kernel handles it).
+constexpr std::size_t kMaxExpandedRuns = std::size_t{1} << 16;
+
+// A decomposition only beats the per-row generalized kernel when each 2-D
+// copy amortizes its launch over enough rows.
+constexpr std::size_t kMinAvgRowsPerSubPattern = 4;
+
+}  // namespace
+
+// FNV-1a over the canonical group form. The grouping is a function of the
+// merged run list and expands back to it, so two trees hash alike exactly
+// when their run lists (and size and extent) match: contiguous within
 // contiguous folds, vector-of-vector collapses, struct-vs-hindexed
 // spellings of one layout dedupe.
-std::uint64_t layout_signature(const Datatype& dtype) {
+std::uint64_t PackPlan::signature_of(const Datatype& dtype) {
   constexpr std::uint64_t kBasis = 14695981039346656037ull;
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = kBasis;
@@ -28,70 +39,16 @@ std::uint64_t layout_signature(const Datatype& dtype) {
   };
   mix(static_cast<std::uint64_t>(dtype.size()));
   mix(static_cast<std::uint64_t>(dtype.extent()));
-  const auto& segs = dtype.segments();
-  mix(segs.size());
-  for (const Segment& s : segs) {
-    mix(static_cast<std::uint64_t>(s.offset));
-    mix(s.length);
+  const auto& groups = dtype.groups();
+  mix(groups.size());
+  for (const SubPattern& g : groups) {
+    mix(static_cast<std::uint64_t>(g.first_offset));
+    mix(g.rows);
+    mix(g.block);
+    mix(static_cast<std::uint64_t>(g.stride));
   }
   return h;
 }
-
-// Expansion bound: beyond this many flattened runs the decomposition is
-// skipped and the layout is classified kIrregular outright (the generalized
-// kernel handles it; an O(runs) plan build would dwarf any win).
-constexpr std::size_t kMaxExpandedRuns = std::size_t{1} << 16;
-
-// A decomposition only beats the per-row generalized kernel when each 2-D
-// copy amortizes its launch over enough rows.
-constexpr std::size_t kMinAvgRowsPerSubPattern = 4;
-
-void append_merged(std::vector<Segment>& out, std::int64_t offset,
-                   std::size_t length) {
-  if (length == 0) return;
-  if (!out.empty() &&
-      out.back().offset + static_cast<std::int64_t>(out.back().length) ==
-          offset) {
-    out.back().length += length;
-    return;
-  }
-  out.push_back(Segment{offset, length});
-}
-
-// Greedy maximal grouping of the full flattened run list into uniform
-// (block, stride, rows) sub-patterns, in packed-stream order.
-std::vector<SubPattern> decompose(const std::vector<Segment>& full) {
-  std::vector<SubPattern> subs;
-  std::size_t i = 0;
-  std::size_t packed = 0;
-  while (i < full.size()) {
-    SubPattern sp;
-    sp.first_offset = full[i].offset;
-    sp.block = full[i].length;
-    sp.rows = 1;
-    sp.stride = static_cast<std::int64_t>(full[i].length);
-    sp.packed_offset = packed;
-    if (i + 1 < full.size() && full[i + 1].length == sp.block) {
-      const std::int64_t stride = full[i + 1].offset - full[i].offset;
-      // memcpy2d legality: positive stride no smaller than the row width.
-      if (stride >= static_cast<std::int64_t>(sp.block)) {
-        std::size_t j = i + 1;
-        while (j < full.size() && full[j].length == sp.block &&
-               full[j].offset - full[j - 1].offset == stride) {
-          ++j;
-        }
-        sp.rows = j - i;
-        sp.stride = stride;
-      }
-    }
-    packed += sp.packed_bytes();
-    i += sp.rows;
-    subs.push_back(sp);
-  }
-  return subs;
-}
-
-}  // namespace
 
 std::shared_ptr<const PackPlan> PackPlan::build(const Datatype& dtype,
                                                 int count) {
@@ -105,7 +62,7 @@ std::shared_ptr<const PackPlan> PackPlan::build(const Datatype& dtype,
   plan->extent_ = dtype.extent();
   plan->packed_bytes_ =
       plan->elem_size_ * static_cast<std::size_t>(std::max(count, 0));
-  plan->signature_ = layout_signature(dtype);
+  plan->signature_ = signature_of(dtype);
   plan->total_segments_ = count > 0 ? dtype.total_segments(count) : 0;
   plan->pattern_ =
       count > 0 ? dtype.vector_pattern(count) : std::nullopt;
@@ -120,32 +77,17 @@ std::shared_ptr<const PackPlan> PackPlan::build(const Datatype& dtype,
           plan->pattern_->block_bytes;
   if (usable_pattern) {
     plan->layout_ = LayoutClass::kSingleVector;
-    SubPattern sp;
-    sp.first_offset = dtype.segments().front().offset;
-    sp.rows = plan->pattern_->count;
-    sp.block = plan->pattern_->block_bytes;
-    sp.stride = plan->pattern_->stride_bytes;
-    sp.packed_offset = 0;
-    plan->subpatterns_.push_back(sp);
+    const mpisim::VectorPattern& p = *plan->pattern_;
+    plan->subpatterns_.push_back({dtype.groups().front().first_offset,
+                                  p.count, p.block_bytes, p.stride_bytes, 0});
     return plan;
   }
   if (plan->total_segments_ > kMaxExpandedRuns) {
     plan->layout_ = LayoutClass::kIrregular;
     return plan;
   }
-  // Expand the flattened run list across all `count` elements (merging at
-  // abutting element seams, exactly like the committed per-element list).
-  std::vector<Segment> full;
-  full.reserve(plan->total_segments_);
-  const auto& segs = dtype.segments();
-  for (int e = 0; e < count; ++e) {
-    const std::int64_t base = static_cast<std::int64_t>(e) * plan->extent_;
-    for (const Segment& s : segs) {
-      append_merged(full, base + s.offset, s.length);
-    }
-  }
-  std::vector<SubPattern> subs = decompose(full);
-  if (subs.size() * kMinAvgRowsPerSubPattern <= full.size() ||
+  std::vector<SubPattern> subs = dtype.message_groups(count);
+  if (subs.size() * kMinAvgRowsPerSubPattern <= plan->total_segments_ ||
       subs.size() <= 2) {
     plan->layout_ = LayoutClass::kSubPatterned;
     plan->subpatterns_ = std::move(subs);
@@ -161,7 +103,7 @@ std::size_t PackPlan::segments_in_range(std::size_t offset,
   if (offset > packed_bytes_ || bytes > packed_bytes_ - offset) {
     throw std::out_of_range("PackPlan::segments_in_range: range outside");
   }
-  const std::size_t nsegs = dtype_.segments().size();
+  const std::size_t nsegs = dtype_.total_segments(1);  // runs per element
   const auto run_index = [&](std::size_t off) {
     const PackCursor c = dtype_.cursor_at(count_, off);
     return c.elem * nsegs + c.seg;
@@ -202,15 +144,33 @@ PlanCache& PlanCache::instance() {
   return cache;
 }
 
-void PlanCache::touch(std::list<Entry>::iterator it) {
+void PlanCache::touch(EntryIt it) {
   if (it != lru_.begin()) lru_.splice(lru_.begin(), lru_, it);
+}
+
+// Register `nk` as a fast-path alias of `it`, first pruning the entry's
+// aliases whose types have died, so per-call types stay bounded.
+void PlanCache::add_alias(EntryIt it, const NodeKey& nk,
+                          const mpisim::Datatype& dtype) {
+  std::erase_if(it->aliases, [&](const NodeKey& k) {
+    const auto a = by_node_.find(k);
+    if (a == by_node_.end() || a->second.entry != it) return true;
+    if (!a->second.node.expired()) return false;
+    by_node_.erase(a);
+    return true;
+  });
+  it->aliases.push_back(nk);
+  by_node_.emplace(nk, Alias{it, dtype.weak_node()});
 }
 
 void PlanCache::evict_excess() {
   while (lru_.size() > capacity_) {
-    Entry& victim = lru_.back();
-    for (const NodeKey& k : victim.aliases) by_node_.erase(k);
-    by_sig_.erase(victim.key);
+    const EntryIt victim = std::prev(lru_.end());
+    for (const NodeKey& k : victim->aliases) {
+      const auto a = by_node_.find(k);
+      if (a != by_node_.end() && a->second.entry == victim) by_node_.erase(a);
+    }
+    by_sig_.erase(victim->key);
     lru_.pop_back();
     ++stats_.evictions;
   }
@@ -221,32 +181,28 @@ std::shared_ptr<const PackPlan> PlanCache::get(const mpisim::Datatype& dtype,
   std::lock_guard<std::mutex> lock(mu_);
   const NodeKey nk{dtype.node_id(), count};
   if (auto it = by_node_.find(nk); it != by_node_.end()) {
-    ++stats_.hits;
-    touch(it->second);
-    return it->second->plan;
+    if (!it->second.node.expired()) {
+      ++stats_.hits;
+      touch(it->second.entry);
+      return it->second.entry->plan;
+    }
+    // The aliased type died and its address now names another tree.
+    by_node_.erase(it);
   }
-  // Fast path missed: build once (O(nsegs)); the build carries the
-  // canonical signature used for the dedupe tier.
-  std::shared_ptr<const PackPlan> built = PackPlan::build(dtype, count);
-  const SigKey key{built->signature(), count};
+  // Fast path missed: the O(groups) signature decides whether a plan with
+  // this layout already exists before anything is built.
+  const SigKey key{PackPlan::signature_of(dtype), count};
   if (auto it = by_sig_.find(key); it != by_sig_.end()) {
     ++stats_.hits;
     ++stats_.signature_dedups;
-    it->second->aliases.push_back(nk);
-    it->second->pins.push_back(dtype);
-    by_node_.emplace(nk, it->second);
+    add_alias(it->second, nk, dtype);
     touch(it->second);
     return it->second->plan;
   }
   ++stats_.misses;
-  Entry e;
-  e.key = key;
-  e.plan = std::move(built);
-  e.aliases.push_back(nk);
-  e.pins.push_back(dtype);
-  lru_.push_front(std::move(e));
+  lru_.push_front(Entry{key, PackPlan::build(dtype, count), {}});
   by_sig_.emplace(key, lru_.begin());
-  by_node_.emplace(nk, lru_.begin());
+  add_alias(lru_.begin(), nk, dtype);
   evict_excess();
   return lru_.front().plan;
 }
@@ -259,6 +215,11 @@ PlanCacheStats PlanCache::stats() const {
 std::size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
+}
+
+std::size_t PlanCache::alias_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return by_node_.size();
 }
 
 std::size_t PlanCache::capacity() const {

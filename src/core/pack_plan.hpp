@@ -16,10 +16,10 @@
 //     per-chunk segment counts, so chunked host pack/unpack is O(segments
 //     in range) with zero per-chunk searching, and a retransmitted chunk
 //     reuses the stored plan verbatim;
-//   * sub-pattern decomposition: an irregular segment list is grouped into
-//     maximal uniform (block, stride, rows) runs so the device path can
-//     issue a few batched 2-D copies instead of a degenerate per-row
-//     gather kernel.
+//   * sub-pattern decomposition: an irregular layout is taken as the
+//     datatype's canonical maximal uniform (block, stride, rows) groups so
+//     the device path can issue a few batched 2-D copies instead of a
+//     degenerate per-row gather kernel.
 #pragma once
 
 #include <cstddef>
@@ -36,19 +36,12 @@
 
 namespace mv2gnc::core {
 
-/// One maximal uniform run of the flattened count-element layout: `rows`
-/// blocks of `block` bytes, every `stride` bytes, starting `first_offset`
-/// bytes from the message base, covering packed-stream range
+/// One maximal uniform group of the flattened count-element layout, the
+/// message-wide form of the datatype's canonical groups (see
+/// mpisim::StridedGroup): `rows` blocks of `block` bytes every `stride`
+/// bytes from `first_offset`, covering packed-stream range
 /// [packed_offset, packed_offset + rows*block).
-struct SubPattern {
-  std::int64_t first_offset = 0;
-  std::size_t rows = 0;
-  std::size_t block = 0;
-  std::int64_t stride = 0;  // undefined when rows == 1
-  std::size_t packed_offset = 0;
-
-  std::size_t packed_bytes() const { return rows * block; }
-};
+using SubPattern = mpisim::StridedGroup;
 
 /// Shape class of the flattened layout, most to least regular.
 enum class LayoutClass {
@@ -90,8 +83,10 @@ class PackPlan {
   static std::shared_ptr<const PackPlan> build(const mpisim::Datatype& dtype,
                                                int count);
 
-  /// FNV-1a over the flattened layout (+ extent): structurally identical
-  /// trees hash identically regardless of constructor nesting.
+  /// FNV-1a over the canonical group form (+ size and extent): trees with
+  /// the same run list hash identically regardless of constructor nesting.
+  /// O(groups); PlanCache computes it before deciding to build.
+  static std::uint64_t signature_of(const mpisim::Datatype& dtype);
   std::uint64_t signature() const { return signature_; }
   int count() const { return count_; }
   std::size_t elem_size() const { return elem_size_; }
@@ -145,8 +140,10 @@ class PackPlan {
 ///      common repeated-send case;
 ///   2. a canonical-signature tier that dedupes structurally identical
 ///      trees built through different constructor sequences.
-/// Entries pin their Datatype handles, so a pointer key can never alias a
-/// recycled node address.
+/// A plan pins only the type it was built from. Every other fast-path
+/// alias holds a weak reference: an expired alias is a miss and is pruned,
+/// so a recycled node address never returns a stale plan, and types built
+/// per call do not accumulate in the cache.
 class PlanCache {
  public:
   static PlanCache& instance();
@@ -157,6 +154,8 @@ class PlanCache {
 
   PlanCacheStats stats() const;
   std::size_t size() const;
+  /// Fast-path aliases currently held (live or not yet pruned).
+  std::size_t alias_count() const;
   std::size_t capacity() const;
   void set_capacity(std::size_t cap);
   /// Drop every entry and zero the counters (tests and benchmarks).
@@ -170,18 +169,23 @@ class PlanCache {
   struct Entry {
     SigKey key;
     std::shared_ptr<const PackPlan> plan;
-    std::vector<NodeKey> aliases;          // fast-path keys pointing here
-    std::vector<mpisim::Datatype> pins;    // keep aliased nodes alive
+    std::vector<NodeKey> aliases;  // fast-path keys pointing here
+  };
+  using EntryIt = std::list<Entry>::iterator;
+  struct Alias {
+    EntryIt entry;
+    std::weak_ptr<const void> node;  // expires with the aliased type
   };
 
-  void touch(std::list<Entry>::iterator it);
+  void touch(EntryIt it);
+  void add_alias(EntryIt it, const NodeKey& nk, const mpisim::Datatype& dtype);
   void evict_excess();
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::list<Entry> lru_;  // front = most recent
-  std::map<SigKey, std::list<Entry>::iterator> by_sig_;
-  std::map<NodeKey, std::list<Entry>::iterator> by_node_;
+  std::map<SigKey, EntryIt> by_sig_;
+  std::map<NodeKey, Alias> by_node_;
   PlanCacheStats stats_;
 };
 

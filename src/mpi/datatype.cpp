@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -43,167 +42,222 @@ struct TypeNode {
   std::vector<int> starts;
   ArrayOrder order = ArrayOrder::kC;
 
-  // Commit artifacts.
+  // Commit artifacts: the canonical group form of one element, the first
+  // run index of each group (plus the run count at the end), and the
+  // element's uniform pattern if its runs have one, all O(groups).
   bool committed = false;
-  std::vector<Segment> segments;
-  std::vector<std::size_t> packed_prefix;  // nsegs + 1 entries
-
-  // Memoized flattened-layout facts, computed once in commit() so the
-  // per-send queries (total_segments, vector_pattern, is_contiguous) are
-  // O(1) instead of O(nsegs) scans.
-  bool seam_merges = false;     // last run of elem k abuts first of k+1
-  bool uniform_len = false;     // every run has the same length
-  bool uniform_stride = false;  // equal gap between consecutive runs
-  std::int64_t intra_stride = 0;
-  bool seam_stride_ok = false;  // inter-element seam equals intra_stride
+  std::vector<StridedGroup> groups;
+  std::vector<std::size_t> group_run;  // groups.size() + 1 entries
+  std::optional<VectorPattern> pattern;
   // Contiguity memo for pre-commit queries: -1 unknown, else 0/1.
   mutable int contig_memo = -1;
 
   std::int64_t extent() const { return ub - lb; }
+  std::size_t runs() const { return group_run.empty() ? 0 : group_run.back(); }
 };
 
 namespace {
 
-void emit_segments(const TypeNode& n, std::int64_t base,
-                   std::vector<Segment>& out);
-
-void append_merged(std::vector<Segment>& out, std::int64_t offset,
-                   std::size_t length) {
-  if (length == 0) return;
-  if (!out.empty() &&
-      out.back().offset + static_cast<std::int64_t>(out.back().length) ==
-          offset) {
-    out.back().length += length;
-    return;
-  }
-  out.push_back(Segment{offset, length});
+std::int64_t last_run_offset(const StridedGroup& g) {
+  return g.first_offset + static_cast<std::int64_t>(g.rows - 1) * g.stride;
 }
 
-void emit_child_block(const TypeNode& child, std::int64_t base, int blocklen,
-                      std::vector<Segment>& out) {
-  const std::int64_t ext = child.extent();
-  for (int j = 0; j < blocklen; ++j) {
-    emit_segments(child, base + static_cast<std::int64_t>(j) * ext, out);
+// The one run-grouping rule. Runs arrive in packed order; a run that abuts
+// the previous one merges into it, then every run either extends the last
+// group (same length, same gap, gap >= length: memcpy2d legality) or opens
+// a new one. The result depends only on the merged run list, so every
+// spelling of one layout produces the same groups, and expanding the groups
+// gives the run list back. push_group and push_repeat feed whole groups in
+// O(1) where the runs continue the last group's stride.
+class GroupBuilder {
+ public:
+  void push_run(std::int64_t offset, std::size_t length) {
+    if (length == 0) return;
+    if (!out_.empty()) {
+      const StridedGroup& g = out_.back();
+      const std::int64_t last = last_run_offset(g);
+      if (last + static_cast<std::int64_t>(g.block) == offset) {
+        // Abutting: the grown run replaces the last run and is regrouped.
+        const std::size_t merged = g.block + length;
+        pop_last_run();
+        append(last, merged);
+        return;
+      }
+    }
+    append(offset, length);
   }
+
+  // Feed the runs of `g` shifted by `shift`.
+  void push_group(const StridedGroup& g, std::int64_t shift) {
+    if (g.rows == 0 || g.block == 0) return;
+    const std::int64_t first = g.first_offset + shift;
+    if (g.rows == 1 || g.stride == static_cast<std::int64_t>(g.block)) {
+      push_run(first, g.rows * g.block);  // the rows abut: one run
+      return;
+    }
+    std::size_t i = 0;
+    while (i < g.rows) {
+      push_run(first + static_cast<std::int64_t>(i) * g.stride, g.block);
+      ++i;
+      const StridedGroup& b = out_.back();
+      if (b.rows >= 2 && b.block == g.block && b.stride == g.stride) break;
+    }
+    // The last group now runs at g's stride through g's latest row, so the
+    // remaining rows extend it.
+    out_.back().rows += g.rows - i;
+  }
+
+  // Feed `times` copies of `gs`, copy t shifted by base + t*step.
+  void push_repeat(const std::vector<StridedGroup>& gs, std::int64_t base,
+                   std::size_t times, std::int64_t step) {
+    if (times == 0 || gs.empty()) return;
+    if (gs.size() == 1) {
+      const StridedGroup& g = gs[0];
+      if (g.rows == 1) {
+        push_group({g.first_offset, times, g.block, step, 0}, base);
+        return;
+      }
+      if (step == static_cast<std::int64_t>(g.rows) * g.stride) {
+        push_group({g.first_offset, times * g.rows, g.block, g.stride, 0},
+                   base);
+        return;
+      }
+    }
+    for (std::size_t t = 0; t < times; ++t) {
+      for (const StridedGroup& g : gs) {
+        push_group(g, base + static_cast<std::int64_t>(t) * step);
+      }
+    }
+  }
+
+  std::vector<StridedGroup> take() { return std::move(out_); }
+
+ private:
+  std::size_t packed_end() const {
+    if (out_.empty()) return 0;
+    return out_.back().packed_offset + out_.back().packed_bytes();
+  }
+
+  // Append a run that does not abut the last one.
+  void append(std::int64_t offset, std::size_t length) {
+    if (!out_.empty() && out_.back().block == length) {
+      StridedGroup& g = out_.back();
+      if (g.rows == 1) {
+        const std::int64_t stride = offset - g.first_offset;
+        if (stride >= static_cast<std::int64_t>(length)) {
+          g.rows = 2;
+          g.stride = stride;
+          return;
+        }
+      } else if (offset - last_run_offset(g) == g.stride) {
+        ++g.rows;
+        return;
+      }
+    }
+    out_.push_back({offset, 1, length, static_cast<std::int64_t>(length),
+                    packed_end()});
+  }
+
+  // Remove the last run; grouping is prefix-stable, so what remains is the
+  // grouping of the shorter run list.
+  void pop_last_run() {
+    StridedGroup& g = out_.back();
+    if (g.rows == 1) {
+      out_.pop_back();
+      return;
+    }
+    if (--g.rows == 1) g.stride = static_cast<std::int64_t>(g.block);
+  }
+
+  std::vector<StridedGroup> out_;
+};
+
+std::vector<StridedGroup> flatten(const TypeNode& n);
+
+// A child's canonical groups: stored if it is committed, else built.
+const std::vector<StridedGroup>& child_groups(const TypeNode& c,
+                                              std::vector<StridedGroup>& tmp) {
+  if (c.committed) return c.groups;
+  tmp = flatten(c);
+  return tmp;
 }
 
-void emit_subarray_dim(const TypeNode& n, std::size_t depth, std::int64_t base,
-                       const std::vector<std::int64_t>& dim_stride,
-                       std::vector<Segment>& out) {
-  const auto ndims = n.sizes.size();
-  if (depth == ndims) {
-    emit_segments(*n.children[0], base, out);
-    return;
-  }
-  // The type-map order varies the fastest-moving dimension innermost:
-  // the last dimension for C order, the first for Fortran order.
-  const std::size_t dim =
-      (n.order == ArrayOrder::kC) ? depth : ndims - 1 - depth;
-  for (int i = 0; i < n.subsizes[dim]; ++i) {
-    emit_subarray_dim(
-        n, depth + 1,
-        base + (n.starts[dim] + i) * dim_stride[dim], dim_stride, out);
-  }
-}
-
-void emit_segments(const TypeNode& n, std::int64_t base,
-                   std::vector<Segment>& out) {
+// Emit the runs of one element of `n` at `base`, composing each child's
+// groups instead of walking its runs.
+void emit(const TypeNode& n, std::int64_t base, GroupBuilder& out) {
+  std::vector<StridedGroup> tmp;
   switch (n.kind) {
     case Kind::kPredefined:
-      append_merged(out, base, n.size);
+      out.push_run(base, n.size);
       return;
-    case Kind::kContiguous:
-      emit_child_block(*n.children[0], base, n.count, out);
+    case Kind::kContiguous: {
+      const TypeNode& c = *n.children[0];
+      out.push_repeat(child_groups(c, tmp), base,
+                      static_cast<std::size_t>(n.count), c.extent());
       return;
-    case Kind::kVector:
-      for (int i = 0; i < n.count; ++i) {
-        emit_child_block(*n.children[0],
-                         base + static_cast<std::int64_t>(i) * n.stride_bytes,
-                         n.blocklength, out);
-      }
+    }
+    case Kind::kVector: {
+      const TypeNode& c = *n.children[0];
+      GroupBuilder block;
+      block.push_repeat(child_groups(c, tmp), 0,
+                        static_cast<std::size_t>(n.blocklength), c.extent());
+      out.push_repeat(block.take(), base, static_cast<std::size_t>(n.count),
+                      n.stride_bytes);
       return;
-    case Kind::kIndexed:
+    }
+    case Kind::kIndexed: {
+      const TypeNode& c = *n.children[0];
+      const std::vector<StridedGroup>& gs = child_groups(c, tmp);
       for (std::size_t k = 0; k < n.blocklengths.size(); ++k) {
-        emit_child_block(*n.children[0], base + n.displacements[k],
-                         n.blocklengths[k], out);
+        out.push_repeat(gs, base + n.displacements[k],
+                        static_cast<std::size_t>(n.blocklengths[k]),
+                        c.extent());
       }
       return;
+    }
     case Kind::kStruct:
       for (std::size_t k = 0; k < n.children.size(); ++k) {
-        emit_child_block(*n.children[k], base + n.displacements[k],
-                         n.blocklengths[k], out);
+        const TypeNode& c = *n.children[k];
+        out.push_repeat(child_groups(c, tmp), base + n.displacements[k],
+                        static_cast<std::size_t>(n.blocklengths[k]),
+                        c.extent());
       }
       return;
     case Kind::kSubarray: {
-      // dim_stride[d] = bytes between consecutive indices along dim d.
-      const auto ndims = n.sizes.size();
-      std::vector<std::int64_t> dim_stride(ndims);
-      const std::int64_t elem = n.children[0]->extent();
-      if (n.order == ArrayOrder::kC) {
-        std::int64_t s = elem;
-        for (std::size_t d = ndims; d-- > 0;) {
-          dim_stride[d] = s;
-          s *= n.sizes[d];
-        }
-      } else {
-        std::int64_t s = elem;
-        for (std::size_t d = 0; d < ndims; ++d) {
-          dim_stride[d] = s;
-          s *= n.sizes[d];
-        }
+      // The type-map order varies the fastest-moving dimension innermost:
+      // the last dimension for C order, the first for Fortran order. Build
+      // from the innermost dimension out; `stride` is the byte distance
+      // between consecutive indices along the current dimension.
+      const std::size_t ndims = n.sizes.size();
+      std::vector<StridedGroup> level = child_groups(*n.children[0], tmp);
+      std::int64_t stride = n.children[0]->extent();
+      for (std::size_t i = 0; i < ndims; ++i) {
+        const std::size_t d = (n.order == ArrayOrder::kC) ? ndims - 1 - i : i;
+        GroupBuilder b;
+        b.push_repeat(level, n.starts[d] * stride,
+                      static_cast<std::size_t>(n.subsizes[d]), stride);
+        level = b.take();
+        stride *= n.sizes[d];
       }
-      emit_subarray_dim(n, 0, base, dim_stride, out);
+      out.push_repeat(level, base, 1, 0);
       return;
     }
     case Kind::kResized:
-      emit_segments(*n.children[0], base, out);
+      out.push_repeat(child_groups(*n.children[0], tmp), base, 1, 0);
       return;
   }
 }
 
-// Upper bound on the number of flattened runs (before merging), used to
-// reserve() the segment vector ahead of emission. Saturates at `cap`.
-std::size_t run_upper_bound(const TypeNode& n, std::size_t cap) {
-  const auto mul = [cap](std::size_t a, std::size_t b) {
-    if (a == 0 || b == 0) return std::size_t{0};
-    return (a > cap / b) ? cap : a * b;
-  };
-  switch (n.kind) {
-    case Kind::kPredefined:
-      return 1;
-    case Kind::kContiguous:
-      return mul(static_cast<std::size_t>(n.count),
-                 run_upper_bound(*n.children[0], cap));
-    case Kind::kVector:
-      return mul(mul(static_cast<std::size_t>(n.count),
-                     static_cast<std::size_t>(n.blocklength)),
-                 run_upper_bound(*n.children[0], cap));
-    case Kind::kIndexed: {
-      std::size_t blocks = 0;
-      for (int b : n.blocklengths) {
-        blocks += static_cast<std::size_t>(b);
-        if (blocks >= cap) return cap;
-      }
-      return mul(blocks, run_upper_bound(*n.children[0], cap));
-    }
-    case Kind::kStruct: {
-      std::size_t total = 0;
-      for (std::size_t k = 0; k < n.children.size(); ++k) {
-        total += mul(static_cast<std::size_t>(n.blocklengths[k]),
-                     run_upper_bound(*n.children[k], cap));
-        if (total >= cap) return cap;
-      }
-      return total;
-    }
-    case Kind::kSubarray: {
-      std::size_t points = 1;
-      for (int s : n.subsizes) points = mul(points, static_cast<std::size_t>(s));
-      return mul(points, run_upper_bound(*n.children[0], cap));
-    }
-    case Kind::kResized:
-      return run_upper_bound(*n.children[0], cap);
-  }
-  return cap;
+std::vector<StridedGroup> flatten(const TypeNode& n) {
+  GroupBuilder b;
+  emit(n, 0, b);
+  return b.take();
+}
+
+bool single_dense_run(const TypeNode& n, const std::vector<StridedGroup>& gs) {
+  return n.size == 0 ||
+         (gs.size() == 1 && gs[0].rows == 1 && gs[0].first_offset == 0 &&
+          static_cast<std::int64_t>(n.size) == n.extent());
 }
 
 std::shared_ptr<TypeNode> predefined(const char* name, std::size_t size) {
@@ -322,11 +376,12 @@ Datatype Datatype::hvector(int count, int blocklength,
     n->lb = 0;
     n->ub = 0;
   } else {
+    // Block i's bounds are linear in i, so the first and last blocks hold
+    // the extremes.
     std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-    for (int i = 0; i < count; ++i) {
-      span_bounds(c, static_cast<std::int64_t>(i) * stride_bytes, blocklength,
-                  lo, hi);
-    }
+    span_bounds(c, 0, blocklength, lo, hi);
+    span_bounds(c, static_cast<std::int64_t>(count - 1) * stride_bytes,
+                blocklength, lo, hi);
     n->lb = lo;
     n->ub = hi;
   }
@@ -476,17 +531,10 @@ std::int64_t Datatype::lower_bound() const { return node().lb; }
 
 bool Datatype::is_contiguous() const {
   const TypeNode& n = node();
-  if (n.size == 0) return true;
   if (n.contig_memo < 0) {
     // First query on an uncommitted tree: flatten once and memoize (the
-    // tree is immutable, so the answer never changes; commit() reuses it).
-    std::vector<Segment> segs;
-    detail::emit_segments(n, 0, segs);
-    n.contig_memo =
-        (segs.size() == 1 && segs[0].offset == 0 && segs[0].length == n.size &&
-         static_cast<std::int64_t>(n.size) == n.extent())
-            ? 1
-            : 0;
+    // tree is immutable, so the answer never changes).
+    n.contig_memo = detail::single_dense_run(n, detail::flatten(n)) ? 1 : 0;
   }
   return n.contig_memo == 1;
 }
@@ -535,51 +583,33 @@ std::string Datatype::describe() const {
 void Datatype::commit() {
   TypeNode& n = const_cast<TypeNode&>(node());
   if (n.committed) return;
-  n.segments.clear();
-  // Pre-size from the run count known at construction (merging can only
-  // shrink it); the cap bounds memory for pathological trees.
-  constexpr std::size_t kReserveCap = std::size_t{1} << 22;
-  n.segments.reserve(detail::run_upper_bound(n, kReserveCap));
-  detail::emit_segments(n, 0, n.segments);
-  n.packed_prefix.resize(n.segments.size() + 1);
-  n.packed_prefix[0] = 0;
-  for (std::size_t i = 0; i < n.segments.size(); ++i) {
-    n.packed_prefix[i + 1] = n.packed_prefix[i] + n.segments[i].length;
+  n.groups = detail::flatten(n);
+  const auto& gs = n.groups;
+  n.group_run.assign(1, 0);
+  std::size_t packed = 0;
+  for (const StridedGroup& g : gs) {
+    n.group_run.push_back(n.group_run.back() + g.rows);
+    packed += g.packed_bytes();
   }
-  if (n.packed_prefix.back() != n.size) {
+  if (packed != n.size) {
     throw std::logic_error("datatype commit: segment sum != size");
   }
-  // Memoize the layout facts every send-path query needs.
-  const auto& segs = n.segments;
-  if (!segs.empty()) {
-    n.seam_merges =
-        segs.back().offset + static_cast<std::int64_t>(segs.back().length) ==
-        segs.front().offset + n.extent();
-    n.uniform_len = true;
-    for (const Segment& s : segs) {
-      if (s.length != segs[0].length) {
-        n.uniform_len = false;
-        break;
-      }
+  // The element's runs share one length and one gap exactly when they form
+  // a single group, or (gap shorter than a run) single-run groups at one
+  // gap: memoize that pattern for vector_pattern().
+  if (gs.size() == 1) {
+    n.pattern = VectorPattern{gs[0].rows, gs[0].block, gs[0].stride};
+  } else if (!gs.empty()) {
+    const std::int64_t gap = gs[1].first_offset - gs[0].first_offset;
+    bool uniform = true;
+    for (std::size_t i = 0; i < gs.size() && uniform; ++i) {
+      uniform = gs[i].rows == 1 && gs[i].block == gs[0].block &&
+                gs[i].first_offset ==
+                    gs[0].first_offset + static_cast<std::int64_t>(i) * gap;
     }
-    n.uniform_stride = true;
-    n.intra_stride = segs.size() > 1 ? segs[1].offset - segs[0].offset : 0;
-    for (std::size_t i = 1; i < segs.size(); ++i) {
-      if (segs[i].offset - segs[i - 1].offset != n.intra_stride) {
-        n.uniform_stride = false;
-        break;
-      }
-    }
-    const std::int64_t seam =
-        (segs[0].offset + n.extent()) - segs.back().offset;
-    n.seam_stride_ok = (seam == n.intra_stride);
+    if (uniform) n.pattern = VectorPattern{gs.size(), gs[0].block, gap};
   }
-  n.contig_memo =
-      (n.size == 0 ||
-       (segs.size() == 1 && segs[0].offset == 0 && segs[0].length == n.size &&
-        static_cast<std::int64_t>(n.size) == n.extent()))
-          ? 1
-          : 0;
+  n.contig_memo = detail::single_dense_run(n, gs) ? 1 : 0;
   n.committed = true;
 }
 
@@ -598,45 +628,65 @@ const TypeNode& committed_node(const Datatype& t, const TypeNode& n,
 
 }  // namespace
 
-const std::vector<Segment>& Datatype::segments() const {
-  return committed_node(*this, node(), "segments").segments;
+const std::vector<StridedGroup>& Datatype::groups() const {
+  return committed_node(*this, node(), "groups").groups;
 }
+
+std::vector<StridedGroup> Datatype::message_groups(int count) const {
+  const TypeNode& n = committed_node(*this, node(), "message_groups");
+  detail::GroupBuilder b;
+  b.push_repeat(n.groups, 0, static_cast<std::size_t>(std::max(count, 0)),
+                n.extent());
+  return b.take();
+}
+
+std::vector<Segment> Datatype::segments() const {
+  const TypeNode& n = committed_node(*this, node(), "segments");
+  std::vector<Segment> out;
+  out.reserve(n.runs());
+  for (const StridedGroup& g : n.groups) {
+    for (std::size_t r = 0; r < g.rows; ++r) {
+      out.push_back(
+          Segment{g.first_offset + static_cast<std::int64_t>(r) * g.stride,
+                  g.block});
+    }
+  }
+  return out;
+}
+
+namespace {
+
+// Gap from the last run of element k to the first run of element k+1.
+std::int64_t seam_gap(const TypeNode& n) {
+  return n.groups.front().first_offset + n.extent() -
+         detail::last_run_offset(n.groups.back());
+}
+
+}  // namespace
 
 std::size_t Datatype::total_segments(int count) const {
   const TypeNode& n = committed_node(*this, node(), "total_segments");
-  if (count <= 0 || n.segments.empty()) return 0;
-  // Elements may merge at the seam if the last segment of element k abuts
-  // the first segment of element k+1 (memoized at commit).
-  const std::size_t per = n.segments.size();
-  if (n.seam_merges) {
-    return per * static_cast<std::size_t>(count) -
-           static_cast<std::size_t>(count - 1);
+  if (count <= 0 || n.groups.empty()) return 0;
+  // Elements merge at the seam if the last run of element k abuts the
+  // first run of element k+1.
+  const std::size_t all = n.runs() * static_cast<std::size_t>(count);
+  if (seam_gap(n) == static_cast<std::int64_t>(n.groups.back().block)) {
+    return all - static_cast<std::size_t>(count - 1);
   }
-  return per * static_cast<std::size_t>(count);
+  return all;
 }
 
 std::optional<VectorPattern> Datatype::vector_pattern(int count) const {
   const TypeNode& n = committed_node(*this, node(), "vector_pattern");
-  if (count <= 0 || n.segments.empty() || n.size == 0) return std::nullopt;
-  // All facts memoized at commit: this is O(1) on the send path.
-  const auto& segs = n.segments;
-  const std::size_t len = segs[0].length;
-  if (!n.uniform_len) return std::nullopt;
-  if (segs.size() > 1 && !n.uniform_stride) return std::nullopt;
-  if (count == 1) {
-    if (segs.size() == 1) {
-      return VectorPattern{1, len, static_cast<std::int64_t>(len)};
-    }
-    return VectorPattern{segs.size(), len, n.intra_stride};
-  }
-  if (segs.size() == 1) {
-    // Single block per element: the seam becomes the stride.
-    return VectorPattern{static_cast<std::size_t>(count), len, n.extent()};
-  }
+  if (count <= 0 || n.size == 0 || !n.pattern) return std::nullopt;
+  const VectorPattern& p = *n.pattern;
+  const auto elems = static_cast<std::size_t>(count);
+  if (count == 1) return p;
+  // Single block per element: the seam becomes the stride.
+  if (p.count == 1) return VectorPattern{elems, p.block_bytes, n.extent()};
   // Across elements the seam stride must equal the intra-element stride.
-  if (!n.seam_stride_ok) return std::nullopt;
-  return VectorPattern{segs.size() * static_cast<std::size_t>(count), len,
-                       n.intra_stride};
+  if (seam_gap(n) != p.stride_bytes) return std::nullopt;
+  return VectorPattern{p.count * elems, p.block_bytes, p.stride_bytes};
 }
 
 // ---------------------------------------------------------------------------
@@ -645,31 +695,21 @@ std::optional<VectorPattern> Datatype::vector_pattern(int count) const {
 
 namespace {
 
-// Shared gather/scatter driver. `kPack` copies typed -> dense, `kUnpack`
-// dense -> typed.
-enum class XferDir { kPack, kUnpack };
+// Index of the group holding run `run` of an element (groups.size() when
+// `run` is past the element's last run).
+std::size_t group_of_run(const TypeNode& n, std::size_t run) {
+  const auto it =
+      std::upper_bound(n.group_run.begin(), n.group_run.end(), run);
+  return static_cast<std::size_t>(std::distance(n.group_run.begin(), it)) - 1;
+}
 
-void move_full(const TypeNode& n, XferDir dir, const void* typed_in,
-               void* typed_out, const void* dense_in, void* dense_out,
-               int count) {
-  const std::int64_t ext = n.extent();
-  std::size_t dense_pos = 0;
-  for (int e = 0; e < count; ++e) {
-    const std::int64_t elem_base = static_cast<std::int64_t>(e) * ext;
-    for (const Segment& s : n.segments) {
-      if (dir == XferDir::kPack) {
-        std::memcpy(static_cast<std::byte*>(dense_out) + dense_pos,
-                    static_cast<const std::byte*>(typed_in) + elem_base +
-                        s.offset,
-                    s.length);
-      } else {
-        std::memcpy(
-            static_cast<std::byte*>(typed_out) + elem_base + s.offset,
-            static_cast<const std::byte*>(dense_in) + dense_pos, s.length);
-      }
-      dense_pos += s.length;
-    }
-  }
+// Packed offset, within its element, of run `run` (the element size one
+// past the last run).
+std::size_t run_packed_offset(const TypeNode& n, std::size_t run) {
+  if (run >= n.runs()) return run == n.runs() ? n.size : 0;
+  const std::size_t gi = group_of_run(n, run);
+  const StridedGroup& g = n.groups[gi];
+  return g.packed_offset + (run - n.group_run[gi]) * g.block;
 }
 
 // Locate packed-stream offset `pack_offset` (the one search of the ranged
@@ -679,56 +719,61 @@ PackCursor cursor_for(const TypeNode& n, std::size_t pack_offset) {
   if (n.size == 0) return cur;
   cur.elem = pack_offset / n.size;
   const std::size_t within = pack_offset % n.size;
-  const auto it = std::upper_bound(n.packed_prefix.begin(),
-                                   n.packed_prefix.end(), within);
-  cur.seg = static_cast<std::size_t>(
-                std::distance(n.packed_prefix.begin(), it)) -
-            1;
-  cur.skip = within - n.packed_prefix[cur.seg];
+  const auto past = std::partition_point(
+      n.groups.begin(), n.groups.end(),
+      [within](const StridedGroup& g) { return g.packed_offset <= within; });
+  const auto gi = static_cast<std::size_t>(past - n.groups.begin()) - 1;
+  const std::size_t in_group = within - n.groups[gi].packed_offset;
+  cur.seg = n.group_run[gi] + in_group / n.groups[gi].block;
+  cur.skip = in_group % n.groups[gi].block;
   return cur;
 }
 
-// Gather/scatter `nbytes` starting at `cur`. O(segments in range), zero
-// searches: after the first segment the cursor simply walks forward (each
-// subsequent element starts at segment 0 with no skip).
-void move_from_cursor(const TypeNode& n, XferDir dir, const void* typed_in,
-                      void* typed_out, const void* dense_in, void* dense_out,
-                      PackCursor cur, std::size_t nbytes) {
+std::byte* bytes(const void* p) {
+  return static_cast<std::byte*>(const_cast<void*>(p));
+}
+
+// The one gather/scatter walk: copy `nbytes` of packed stream starting at
+// `cur`, typed -> dense when packing, dense -> typed otherwise. One memcpy
+// per run in range, after one group lookup: the cursor then walks forward
+// (each subsequent element starts at run 0 with no skip).
+void move_from_cursor(const TypeNode& n, bool pack, std::byte* typed,
+                      std::byte* dense, PackCursor cur, std::size_t nbytes) {
   const std::int64_t ext = n.extent();
   std::size_t remaining = nbytes;
-  std::size_t dense_pos = 0;  // position within the output slice
   std::size_t e = cur.elem;
-  std::size_t si = cur.seg;
+  std::size_t gi = group_of_run(n, std::min(cur.seg, n.runs()));
+  std::size_t row = gi < n.groups.size() ? cur.seg - n.group_run[gi] : 0;
   std::size_t skip = cur.skip;
   while (remaining > 0) {
     const std::int64_t elem_base = static_cast<std::int64_t>(e) * ext;
-    while (remaining > 0 && si < n.segments.size()) {
-      const Segment& s = n.segments[si];
-      const std::size_t avail = s.length - skip;
-      const std::size_t take = std::min(avail, remaining);
-      if (dir == XferDir::kPack) {
-        std::memcpy(static_cast<std::byte*>(dense_out) + dense_pos,
-                    static_cast<const std::byte*>(typed_in) + elem_base +
-                        s.offset + static_cast<std::int64_t>(skip),
-                    take);
+    while (remaining > 0 && gi < n.groups.size()) {
+      const StridedGroup& g = n.groups[gi];
+      const std::size_t take = std::min(g.block - skip, remaining);
+      std::byte* run = typed + elem_base + g.first_offset +
+                       static_cast<std::int64_t>(row) * g.stride +
+                       static_cast<std::int64_t>(skip);
+      if (pack) {
+        std::memcpy(dense, run, take);
       } else {
-        std::memcpy(static_cast<std::byte*>(typed_out) + elem_base +
-                        s.offset + static_cast<std::int64_t>(skip),
-                    static_cast<const std::byte*>(dense_in) + dense_pos,
-                    take);
+        std::memcpy(run, dense, take);
       }
-      dense_pos += take;
+      dense += take;
       remaining -= take;
       skip += take;
-      if (skip == s.length) {
-        ++si;
+      if (skip == g.block) {
         skip = 0;
+        if (++row == g.rows) {
+          row = 0;
+          ++gi;
+        }
       }
     }
     // Element exhausted; move to the next.
-    if (si >= n.segments.size()) {
+    if (gi >= n.groups.size()) {
       ++e;
-      si = 0;
+      gi = 0;
+      row = 0;
       skip = 0;
     }
   }
@@ -742,39 +787,42 @@ void check_range(const TypeNode& n, int count, std::size_t pack_offset,
   }
 }
 
-void move_bytes(const TypeNode& n, XferDir dir, const void* typed_in,
-                void* typed_out, const void* dense_in, void* dense_out,
-                int count, std::size_t pack_offset, std::size_t nbytes) {
-  check_range(n, count, pack_offset, nbytes);
-  move_from_cursor(n, dir, typed_in, typed_out, dense_in, dense_out,
-                   cursor_for(n, pack_offset), nbytes);
+// Range check of a cursor-started transfer; false when there is nothing
+// to move in a zero-size type.
+bool check_cursor(const TypeNode& n, int count, const PackCursor& cur,
+                  std::size_t nbytes) {
+  if (n.size == 0 && nbytes == 0) return false;
+  check_range(n, count,
+              cur.elem * n.size + run_packed_offset(n, cur.seg) + cur.skip,
+              nbytes);
+  return true;
 }
 
 }  // namespace
 
 void Datatype::pack(const void* src, int count, void* dst) const {
-  const TypeNode& n = committed_node(*this, node(), "pack");
-  move_full(n, XferDir::kPack, src, nullptr, nullptr, dst, count);
+  pack_bytes(src, count, 0, size() * std::max(count, 0), dst);
 }
 
 void Datatype::unpack(const void* src, int count, void* dst) const {
-  const TypeNode& n = committed_node(*this, node(), "unpack");
-  move_full(n, XferDir::kUnpack, nullptr, dst, src, nullptr, count);
+  unpack_bytes(src, count, 0, size() * std::max(count, 0), dst);
 }
 
 void Datatype::pack_bytes(const void* src, int count, std::size_t pack_offset,
                           std::size_t nbytes, void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "pack_bytes");
-  move_bytes(n, XferDir::kPack, src, nullptr, nullptr, dst, count, pack_offset,
-             nbytes);
+  check_range(n, count, pack_offset, nbytes);
+  move_from_cursor(n, true, bytes(src), bytes(dst), cursor_for(n, pack_offset),
+                   nbytes);
 }
 
 void Datatype::unpack_bytes(const void* src, int count,
                             std::size_t pack_offset, std::size_t nbytes,
                             void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "unpack_bytes");
-  move_bytes(n, XferDir::kUnpack, nullptr, dst, src, nullptr, count,
-             pack_offset, nbytes);
+  check_range(n, count, pack_offset, nbytes);
+  move_from_cursor(n, false, bytes(dst), bytes(src),
+                   cursor_for(n, pack_offset), nbytes);
 }
 
 PackCursor Datatype::cursor_at(int count, std::size_t pack_offset) const {
@@ -787,29 +835,18 @@ void Datatype::pack_bytes_from(const PackCursor& cur, const void* src,
                                int count, std::size_t nbytes,
                                void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "pack_bytes_from");
-  if (n.size == 0 && nbytes == 0) return;
-  check_range(n, count,
-              cur.elem * n.size +
-                  (cur.seg < n.packed_prefix.size() ? n.packed_prefix[cur.seg]
-                                                    : 0) +
-                  cur.skip,
-              nbytes);
-  move_from_cursor(n, XferDir::kPack, src, nullptr, nullptr, dst, cur, nbytes);
+  if (check_cursor(n, count, cur, nbytes)) {
+    move_from_cursor(n, true, bytes(src), bytes(dst), cur, nbytes);
+  }
 }
 
 void Datatype::unpack_bytes_from(const PackCursor& cur, const void* src,
                                  int count, std::size_t nbytes,
                                  void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "unpack_bytes_from");
-  if (n.size == 0 && nbytes == 0) return;
-  check_range(n, count,
-              cur.elem * n.size +
-                  (cur.seg < n.packed_prefix.size() ? n.packed_prefix[cur.seg]
-                                                    : 0) +
-                  cur.skip,
-              nbytes);
-  move_from_cursor(n, XferDir::kUnpack, nullptr, dst, src, nullptr, cur,
-                   nbytes);
+  if (check_cursor(n, count, cur, nbytes)) {
+    move_from_cursor(n, false, bytes(dst), bytes(src), cur, nbytes);
+  }
 }
 
 }  // namespace mv2gnc::mpisim

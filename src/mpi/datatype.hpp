@@ -5,9 +5,11 @@
 // subarray, resized — over a small set of predefined types. A committed
 // type exposes:
 //   * size()/extent()/lower_bound() per the MPI type map rules;
-//   * a flattened segment list (byte offset + length per contiguous run,
-//     adjacent runs merged) — the representation both the host pack path
-//     and the GPU offload path consume;
+//   * a canonical flattened layout: the contiguous runs of one element
+//     (adjacent runs merged) grouped greedily into maximal uniform strided
+//     groups, built compositionally so a strided column of a million
+//     elements commits to one group — the representation both the host
+//     pack path and the GPU offload path consume;
 //   * vector-pattern detection (uniform block length + stride), which is
 //     what lets the GPU path drive cudaMemcpy2D for pack/unpack — exactly
 //     the datatype-processing offload of paper §IV-A;
@@ -34,6 +36,21 @@ struct Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 
+/// One maximal uniform strided group of the canonical layout: `rows` runs
+/// of `block` bytes every `stride` bytes, the first `first_offset` bytes
+/// from the base, covering packed-stream range
+/// [packed_offset, packed_offset + rows*block).
+struct StridedGroup {
+  std::int64_t first_offset = 0;
+  std::size_t rows = 0;
+  std::size_t block = 0;
+  std::int64_t stride = 0;  // equals block when rows == 1
+  std::size_t packed_offset = 0;
+
+  std::size_t packed_bytes() const { return rows * block; }
+  friend bool operator==(const StridedGroup&, const StridedGroup&) = default;
+};
+
 /// Detected uniform strided layout: `count` blocks of `block_bytes` every
 /// `stride_bytes`. This maps 1:1 onto a cudaMemcpy2D call.
 struct VectorPattern {
@@ -48,10 +65,10 @@ struct VectorPattern {
 enum class ArrayOrder { kC, kFortran };
 
 /// Resumable position within the packed stream of a (type, count) message:
-/// element index, segment index within that element, and bytes already
-/// consumed of that segment. A cursor fixes the starting point of a
-/// byte-ranged pack/unpack so chunked pipelines resume in O(1) instead of
-/// re-searching the prefix table per chunk.
+/// element index, run (segment) index within that element, and bytes
+/// already consumed of that run. A cursor fixes the starting point of a
+/// byte-ranged pack/unpack so chunked pipelines resume without searching
+/// the layout again per chunk.
 struct PackCursor {
   std::size_t elem = 0;
   std::size_t seg = 0;
@@ -125,13 +142,22 @@ class Datatype {
   std::string describe() const;
 
   // -- commit & flattened access ------------------------------------------
-  /// MPI_Type_commit: builds the flattened representation. Communication
+  /// MPI_Type_commit: builds the canonical group form in time proportional
+  /// to the tree and the groups it yields, not to its runs. Communication
   /// and pack/unpack require a committed type.
   void commit();
   bool committed() const;
 
-  /// Flattened runs of one element (requires commit).
-  const std::vector<Segment>& segments() const;
+  /// Canonical form of one element: its merged runs in packed order,
+  /// grouped greedily into maximal uniform strided groups (requires
+  /// commit). Equal run lists give equal group lists and vice versa.
+  const std::vector<StridedGroup>& groups() const;
+  /// Canonical form of a count-element message, runs that abut across an
+  /// element seam merged (requires commit).
+  std::vector<StridedGroup> message_groups(int count) const;
+  /// Flattened runs of one element, expanded from groups() (requires
+  /// commit). O(runs): for tests and diagnostics, not the send path.
+  std::vector<Segment> segments() const;
   /// Number of contiguous runs in `count` elements.
   std::size_t total_segments(int count) const;
   /// Uniform strided pattern across `count` consecutive elements, if the
@@ -168,6 +194,9 @@ class Datatype {
   /// Opaque identity of the underlying (shared) type tree; equal handles
   /// share it. Used as the pack-plan cache's fast-path key.
   const void* node_id() const { return node_.get(); }
+  /// Non-owning reference to the same tree: expires once every handle to
+  /// it is gone, so a cache can key on node_id() without pinning the type.
+  std::weak_ptr<const void> weak_node() const { return node_; }
 
   friend bool operator==(const Datatype& a, const Datatype& b) {
     return a.node_ == b.node_;

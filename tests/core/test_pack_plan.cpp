@@ -201,6 +201,46 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
   cache.reset();
 }
 
+TEST(PlanCacheTest, RecycledNodeAddressNeverReturnsStalePlan) {
+  auto& cache = PlanCache::instance();
+  cache.reset();
+  // The first type builds the plan and is pinned by it; every later
+  // equal-layout type is only a weak alias, so it is freed when dropped and
+  // its address may be handed to the next type built.
+  auto owner = committed(Datatype::vector(16, 1, 4, Datatype::int32()));
+  const auto owner_plan = cache.get(owner, 1);
+  for (int i = 0; i < 64; ++i) {
+    {
+      auto alias = committed(Datatype::vector(16, 1, 4, Datatype::int32()));
+      EXPECT_EQ(cache.get(alias, 1).get(), owner_plan.get());
+    }
+    const int rows = 8 + i % 4;
+    auto other = committed(Datatype::vector(rows, 1, 3, Datatype::int32()));
+    const auto plan = cache.get(other, 1);
+    EXPECT_EQ(plan->signature(), PackPlan::signature_of(other)) << i;
+    ASSERT_EQ(plan->subpatterns().size(), 1u);
+    EXPECT_EQ(plan->subpatterns()[0].rows, static_cast<std::size_t>(rows));
+  }
+  EXPECT_EQ(cache.stats().misses, 5u);  // owner + four `other` layouts
+  cache.reset();
+}
+
+TEST(PlanCacheTest, FreshEqualLayoutTypesKeepAliasMapBounded) {
+  auto& cache = PlanCache::instance();
+  cache.reset();
+  for (int i = 0; i < 10000; ++i) {
+    auto t = committed(Datatype::vector(64, 1, 2, Datatype::int32()));
+    cache.get(t, 1);
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.signature_dedups, 9999u);
+  EXPECT_EQ(cache.size(), 1u);
+  // The plan's own type plus at most the latest, already dropped, alias.
+  EXPECT_LE(cache.alias_count(), 2u);
+  cache.reset();
+}
+
 TEST(CostSelection, ModelPrefersOffloadForFineGrainedRows) {
   const auto cost = gpu::GpuCostModel::tesla_c2050();
   gpu::MemoryRegistry reg;
