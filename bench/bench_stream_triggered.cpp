@@ -20,6 +20,7 @@
 // beats cpu-driven elapsed at small/medium sizes and never pays more
 // post-compute host time.
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -182,6 +183,7 @@ int main(int argc, char** argv) {
                     {"size", "cpu-driven (us)", "stream (us)",
                      "persist+stream (us)", "improvement", "host-post (us)"});
   bool ok = true;
+  std::vector<std::string> margins;  // persist+stream vs cpu-driven, per size
   for (std::size_t s : sizes) {
     const ModeResult cpu = run_mode(Mode::kCpuDriven, s, iters);
     const ModeResult str = run_mode(Mode::kStreamTriggered, s, iters);
@@ -193,6 +195,14 @@ int main(int argc, char** argv) {
          apps::format_improvement(static_cast<double>(cpu.elapsed_per_iter),
                                   static_cast<double>(per.elapsed_per_iter)),
          apps::format_us(cpu.host_post_per_iter) + " -> 0.0"});
+    const double per_us = static_cast<double>(per.elapsed_per_iter) / 1000.0;
+    const double cpu_us = static_cast<double>(cpu.elapsed_per_iter) / 1000.0;
+    char margin[160];
+    std::snprintf(margin, sizeof(margin),
+                  "  %-8s %.2f vs %.2f us per iteration: %+.2f us (%+.3f%%)",
+                  apps::format_bytes(s).c_str(), per_us, cpu_us,
+                  per_us - cpu_us, 100.0 * (per_us - cpu_us) / cpu_us);
+    margins.emplace_back(margin);
     report.add("cpu_us_" + std::to_string(s),
                static_cast<double>(cpu.elapsed_per_iter) / 1000.0);
     report.add("stream_us_" + std::to_string(s),
@@ -236,9 +246,11 @@ int main(int argc, char** argv) {
     std::cout << "\nerror: stream-triggered win assertions failed\n";
     return 1;
   }
-  std::cout << "\nExpected: persist+stream wins at every size — the RTS/CTS "
-               "handshake and the\nplan/path derivation ride the compute "
-               "kernel instead of following it, and the\nhost never turns "
-               "the crank between compute and communication.\n";
+  std::cout << "\nMeasured margin, persist+stream vs cpu-driven:\n";
+  for (const std::string& m : margins) std::cout << m << "\n";
+  std::cout << "The RTS/CTS handshake and the plan/path derivation ride the "
+               "compute kernel, and\nthe host never turns the crank between "
+               "compute and communication, but the loop\nis bound by the D2D "
+               "pack, so the overlap is worth only this margin.\n";
   return 0;
 }

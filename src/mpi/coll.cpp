@@ -134,8 +134,7 @@ void CollEngine::abort_collective(const CommGroup& g, std::uint64_t seq,
   // Order matters: park the scratch before the wave goes out, so even if
   // posting the wave itself threw, no freed buffer could back a still-
   // posted receive of the abandoned operation.
-  comm_.park_scratch(std::move(scratch_));
-  scratch_.clear();
+  settle_scratch(/*aborted=*/true);
   settle_coll_slots(/*aborted=*/true);
   comm_.coll_send_abort_wave(g, seq, origin);
   // Withdraw every still-open request of the abandoned operation. Receives
@@ -145,6 +144,25 @@ void CollEngine::abort_collective(const CommGroup& g, std::uint64_t seq,
   // strands finalize's drain_pending.
   for (Request& r : inflight_) comm_.cancel_request(r);
   inflight_.clear();
+}
+
+void CollEngine::settle_scratch(bool aborted) {
+  if (aborted) {
+    if (arena_ != nullptr) {
+      scratch_.push_back(std::move(arena_));
+      arena_bytes_ = 0;
+      ++stats_.scratch_parked;
+    }
+    comm_.park_scratch(std::move(scratch_));
+  } else if (scratch_need_ > arena_bytes_) {
+    arena_.reset();
+    arena_ = std::shared_ptr<std::byte[]>(new std::byte[scratch_need_]);
+    arena_bytes_ = scratch_need_;
+    ++stats_.scratch_allocs;
+  }
+  scratch_.clear();
+  arena_used_ = 0;
+  scratch_need_ = 0;
 }
 
 template <typename Fn>
@@ -157,7 +175,7 @@ void CollEngine::run_guarded(const CommGroup& g, Fn&& body) {
   wait_budget_ = watchdog_budget();
   try {
     body();
-    scratch_.clear();  // completed: nothing can deliver into scratch anymore
+    settle_scratch(/*aborted=*/false);  // nothing can deliver into it now
     settle_coll_slots(/*aborted=*/false);
     inflight_.clear();
   } catch (const RequestError& e) {
@@ -332,6 +350,7 @@ void CollEngine::dissemination(CollOpStats& op, const CommGroup& g,
   static const Datatype byte_t = committed_byte();
   const int p = static_cast<int>(ranks.size());
   char* token = scratch<char>(1);
+  *token = 0;  // sent before anything is received into it
   int round = 0;
   for (int mask = 1; mask < p; mask <<= 1, ++round) {
     const int dst =
@@ -459,6 +478,7 @@ void CollEngine::barrier_impl(const CommGroup& g) {
   ++op.hier_calls;
   static const Datatype byte_t = committed_byte();
   char* token = scratch<char>(1);
+  *token = 0;  // sent before anything is received into it
   const std::vector<int>& mem = t.members[static_cast<std::size_t>(t.my_node)];
   const int leader = t.leaders[static_cast<std::size_t>(t.my_node)];
   // Intra fan-in: every member reports to its node leader.

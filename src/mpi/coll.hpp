@@ -60,6 +60,9 @@ struct CollOpStats {
 
 struct CollStats {
   CollOpStats barrier, bcast, allreduce, allgather, alltoall, gather, scatter;
+  /// Host scratch arenas allocated (growth, or fresh after an abort) and
+  /// parked by aborts (CollEngine::scratch); steady state allocates none.
+  std::uint64_t scratch_allocs = 0, scratch_parked = 0;
 
   std::uint64_t total_calls() const {
     return barrier.calls + bcast.calls + allreduce.calls + allgather.calls +
@@ -249,17 +252,31 @@ class CollEngine {
   sim::SimTime watchdog_budget() const;
   void abort_collective(const CommGroup& g, std::uint64_t seq, int origin);
 
-  /// Allocate collective scratch that survives an abort: kept in scratch_
-  /// while the op runs, freed on normal completion, parked in the owning
-  /// RankComm on abort (stale messages may still deliver into it). Stack
-  /// temporaries must never back a posted receive in a collective.
+  /// Collective host scratch that survives an abort, bump-allocated from
+  /// this rank's arena (a one-off buffer in scratch_ when it does not fit).
+  /// See settle_scratch for its fate. Not zero-filled: callers write it
+  /// before reading it. Stack temporaries must never back a posted receive
+  /// in a collective.
   template <typename T>
   T* scratch(std::size_t n) {
-    auto v = std::make_shared<std::vector<T>>(n);
-    T* p = v->data();
-    scratch_.push_back(std::move(v));
+    constexpr std::size_t kAlign = alignof(std::max_align_t);
+    const std::size_t bytes = (n * sizeof(T) + kAlign - 1) / kAlign * kAlign;
+    scratch_need_ += bytes;
+    if (arena_used_ + bytes <= arena_bytes_) {
+      auto* p = static_cast<std::byte*>(arena_.get()) + arena_used_;
+      arena_used_ += bytes;
+      return reinterpret_cast<T*>(p);
+    }
+    std::shared_ptr<std::byte[]> one_off(new std::byte[bytes]);
+    auto* p = reinterpret_cast<T*>(one_off.get());
+    scratch_.push_back(std::move(one_off));
     return p;
   }
+  /// End of a collective. Normal completion frees the one-offs and keeps
+  /// the arena, grown once to the op's total need if it fell short; an
+  /// abort parks both in the owning RankComm (stale messages may still
+  /// deliver into them), so the next collective starts a fresh arena.
+  void settle_scratch(bool aborted);
 
   // Primitives shared between the flat path and the leader/intra legs.
   // They run over an ordered subgroup of comm ranks; `me` is this rank's
@@ -292,6 +309,10 @@ class CollEngine {
   std::uint64_t cur_seq_ = 0;
   sim::SimTime wait_budget_ = 0;
   std::vector<std::shared_ptr<void>> scratch_;
+  std::shared_ptr<void> arena_;    // host scratch arena (see scratch())
+  std::size_t arena_bytes_ = 0;    // its capacity
+  std::size_t arena_used_ = 0;     // bump offset of the running collective
+  std::size_t scratch_need_ = 0;   // host scratch the running op asked for
   /// Staging slots of the in-flight device collective (slot_scratch).
   /// Released back to the pool on normal completion; an abort parks them
   /// in the owning RankComm's slot graveyard instead — a still-queued

@@ -1,10 +1,29 @@
 #include "sim/engine.hpp"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <new>
 #include <sstream>
 #include <utility>
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MV2GNC_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define MV2GNC_ASAN_FIBERS 1
+#endif
+#ifdef MV2GNC_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace mv2gnc::sim {
 
@@ -22,34 +41,93 @@ std::string format_time(SimTime t) {
   return buf;
 }
 
+namespace detail {
+
+enum class ProcState { kReady, kRunning, kBlocked, kFinished };
+
+// The C++ runtime's per-thread exception state (Itanium ABI
+// __cxa_eh_globals: caught-exception stack, uncaught count). Each fiber
+// keeps its own, as a thread would, so a process blocking inside a catch
+// handler cannot have its exception popped by another process's handler.
+struct EhState {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+struct Process {
+  std::string name;
+  ProcState state = ProcState::kReady;
+  std::string wait_reason;
+  std::function<void()> body;
+  ucontext_t uc{};
+  EhState eh;
+  void* map = nullptr;  // guard page + stack; null when it has none
+  std::size_t map_bytes = 0;
+  // Stack bounds and saved fake stack for the sanitizer's fiber-switch
+  // annotations (the host's bounds are learned when it first switches).
+  const void* stack_lo = nullptr;
+  std::size_t stack_bytes = 0;
+  void* fake_stack = nullptr;
+
+  Process() = default;
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
+  ~Process() { release_stack(); }
+
+  // MAP_NORESERVE commits pages only as they are touched; the PROT_NONE
+  // page below the stack turns an overflow into a fault.
+  void map_stack() {
+    const auto guard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    map_bytes = guard + kStackBytes;
+    map = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED) map = nullptr;
+    if (map == nullptr || mprotect(map, guard, PROT_NONE) != 0) {
+      release_stack();
+      throw std::bad_alloc();
+    }
+    stack_lo = static_cast<char*>(map) + guard;
+    stack_bytes = kStackBytes;
+  }
+  void release_stack() {
+    if (map != nullptr) munmap(map, map_bytes);
+    map = nullptr;
+  }
+};
+
+// Completes a switch on the fiber that just got the CPU and records the
+// bounds of the stack it came from (how the host's become known).
+void finish_switch([[maybe_unused]] Process* self,
+                   [[maybe_unused]] Process* from) {
+#ifdef MV2GNC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(self->fake_stack, &from->stack_lo,
+                                  &from->stack_bytes);
+#endif
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // EventFlag
 // ---------------------------------------------------------------------------
 
-bool EventFlag::is_set() const {
-  std::lock_guard<std::mutex> lock(engine_.mu_);
-  return set_;
-}
+bool EventFlag::is_set() const { return set_; }
 
 void EventFlag::trigger() {
-  std::lock_guard<std::mutex> lock(engine_.mu_);
   if (set_) return;
   set_ = true;
-  for (detail::Process* p : waiters_) engine_.make_ready_locked(p);
+  for (detail::Process* p : waiters_) engine_.make_ready(p);
   waiters_.clear();
 }
 
-void EventFlag::reset() {
-  std::lock_guard<std::mutex> lock(engine_.mu_);
-  set_ = false;
-}
+void EventFlag::reset() { set_ = false; }
 
 void EventFlag::wait(const std::string& reason) {
-  std::unique_lock<std::mutex> lock(engine_.mu_);
   while (!set_) {
-    detail::Process* self = engine_.current_locked();
-    waiters_.push_back(self);
-    engine_.block_current_locked(lock, reason);
+    waiters_.push_back(engine_.current());
+    engine_.block_current(reason);
   }
 }
 
@@ -58,29 +136,26 @@ void EventFlag::wait(const std::string& reason) {
 // ---------------------------------------------------------------------------
 
 void Notifier::notify() {
-  std::lock_guard<std::mutex> lock(engine_.mu_);
   ++pending_;
   if (waiter_ != nullptr) {
-    engine_.make_ready_locked(waiter_);
+    engine_.make_ready(waiter_);
     waiter_ = nullptr;
   }
 }
 
 void Notifier::wait(const std::string& reason) {
-  std::unique_lock<std::mutex> lock(engine_.mu_);
   while (pending_ == 0) {
-    detail::Process* self = engine_.current_locked();
+    detail::Process* self = engine_.current();
     if (waiter_ != nullptr && waiter_ != self) {
       throw std::logic_error("Notifier: more than one concurrent waiter");
     }
     waiter_ = self;
-    engine_.block_current_locked(lock, reason);
+    engine_.block_current(reason);
   }
   pending_ = 0;
 }
 
 bool Notifier::try_consume() {
-  std::lock_guard<std::mutex> lock(engine_.mu_);
   if (pending_ == 0) return false;
   pending_ = 0;
   return true;
@@ -90,158 +165,112 @@ bool Notifier::try_consume() {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine() = default;
+Engine::Engine()
+    : host_(std::make_unique<detail::Process>()), on_cpu_(host_.get()) {}
 
 Engine::~Engine() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!aborting_) abort_all_locked(lock);
-  }
-  join_all();
-}
-
-SimTime Engine::now() const {
-  // Lock-free: the clock only moves in dispatch, and the reader is almost
-  // always the token-holding process, which cannot race the dispatcher.
-  return now_.load(std::memory_order_relaxed);
+  if (!aborting_) abort_all();
 }
 
 void Engine::spawn(std::string name, std::function<void()> body) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto proc = std::make_unique<detail::Process>();
   proc->name = std::move(name);
   proc->body = std::move(body);
-  proc->state = detail::ProcState::kReady;
-  detail::Process* p = proc.get();
+  proc->map_stack();
+  getcontext(&proc->uc);
+  proc->uc.uc_stack.ss_sp = const_cast<void*>(proc->stack_lo);
+  proc->uc.uc_stack.ss_size = proc->stack_bytes;
+  proc->uc.uc_link = nullptr;  // trampoline() never returns
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&proc->uc, reinterpret_cast<void (*)()>(&Engine::fiber_entry), 2,
+              static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
   processes_.push_back(std::move(proc));
-  ready_.push_back(p);
-  p->thread = std::thread([this, p] { trampoline(p); });
+  ready_.push_back(processes_.back().get());
 }
 
 void Engine::schedule_at(SimTime at, SmallFn action) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SimTime t = now_.load(std::memory_order_relaxed);
-  if (at < t) at = t;
+  if (at < now_) at = now_;
   queue_.push(detail::ScheduledEvent{at, seq_++, std::move(action)});
 }
 
 void Engine::schedule_after(SimTime delay, SmallFn action) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SimTime t = now_.load(std::memory_order_relaxed);
-  const SimTime at = (delay < 0) ? t : t + delay;
+  const SimTime at = (delay < 0) ? now_ : now_ + delay;
   queue_.push(detail::ScheduledEvent{at, seq_++, std::move(action)});
 }
 
 TimerId Engine::schedule_timer(SimTime at, SmallFn action) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const SimTime t = now_.load(std::memory_order_relaxed);
-  if (at < t) at = t;
+  if (at < now_) at = now_;
   TimerId id = next_timer_id_++;
   pending_timers_.insert(id);
   queue_.push(detail::ScheduledEvent{at, seq_++, std::move(action), id});
   return id;
 }
 
-bool Engine::cancel_timer(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_timers_.erase(id) > 0;
-}
+bool Engine::cancel_timer(TimerId id) { return pending_timers_.erase(id) > 0; }
 
-void Engine::seed_rng(std::uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rng_.seed(seed);
-}
+void Engine::seed_rng(std::uint64_t seed) { rng_.seed(seed); }
 
-std::uint64_t Engine::rand_u64() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rng_.next();
-}
+std::uint64_t Engine::rand_u64() { return rng_.next(); }
 
-double Engine::rand_uniform() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rng_.uniform();
-}
+double Engine::rand_uniform() { return rng_.uniform(); }
 
 std::uint64_t Engine::rand_below(std::uint64_t bound) {
-  std::lock_guard<std::mutex> lock(mu_);
   return rng_.below(bound);
 }
 
 void Engine::delay(SimTime d) {
-  std::unique_lock<std::mutex> lock(mu_);
-  detail::Process* self = current_locked();
-  const SimTime at =
-      now_.load(std::memory_order_relaxed) + (d < 0 ? 0 : d);
-  // The action runs in scheduler context without the lock held.
-  queue_.push(detail::ScheduledEvent{at, seq_++, [this, self] {
-                                       std::lock_guard<std::mutex> l(mu_);
-                                       make_ready_locked(self);
-                                     }});
-  block_current_locked(lock, "delay");
+  detail::Process* self = current();
+  queue_.push(detail::ScheduledEvent{now_ + (d < 0 ? 0 : d), seq_++,
+                                     [this, self] { make_ready(self); }});
+  block_current("delay");
 }
 
 std::string Engine::current_process_name() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return running_ != nullptr ? running_->name : std::string{};
 }
 
-detail::Process* Engine::current_locked() const {
-  if (running_ == nullptr ||
-      running_->thread.get_id() != std::this_thread::get_id()) {
+detail::Process* Engine::current() const {
+  // A process holds the CPU only while its own fiber is on it: from run()'s
+  // caller, or from an action dispatched on a blocking process's stack
+  // (running_ == nullptr then), there is no process to block.
+  if (running_ == nullptr || running_ != on_cpu_) {
     throw std::logic_error(
         "engine blocking primitive called outside a simulated process");
   }
   return running_;
 }
 
-void Engine::make_ready_locked(detail::Process* p) {
+void Engine::make_ready(detail::Process* p) {
   if (p->state == detail::ProcState::kFinished) return;
   if (p->state == detail::ProcState::kReady) return;  // already queued
   p->state = detail::ProcState::kReady;
   ready_.push_back(p);
 }
 
-void Engine::block_current_locked(std::unique_lock<std::mutex>& lock,
-                                  const std::string& reason) {
+void Engine::block_current(const std::string& reason) {
   detail::Process* self = running_;
   self->state = detail::ProcState::kBlocked;
   self->wait_reason = reason;
   running_ = nullptr;
-  // Dispatch inline: this thread runs due events and hands the token on
-  // before it sleeps. If an event makes `self` ready again, the token comes
-  // straight back (resume_token already set) and the cv wait never blocks —
-  // zero OS context switches for the common block-then-wake-at-once cycle.
-  dispatch_locked(lock, self);
-  self->cv.wait(lock, [self] { return self->resume_token; });
-  self->resume_token = false;
-  self->state = detail::ProcState::kRunning;
-  running_ = self;
+  // Dispatch inline: run due events on this stack and switch straight to
+  // the next ready process. If an event makes `self` ready again first, it
+  // simply carries on — no switch at all for a block-then-wake-at-once
+  // cycle. With nothing left to run, the host (run()) takes over.
+  detail::Process* next = dispatch();
+  if (next != self) switch_to(next != nullptr ? next : host_.get());
   if (aborting_) throw ProcessAborted{};
 }
 
-void Engine::dispatch_locked(std::unique_lock<std::mutex>& lock,
-                             detail::Process* self) {
-  // Precondition: the token is free (running_ == nullptr) and this thread
-  // holds the lock. Exactly one thread can be here at a time, because only
-  // the thread that released the token (or run(), when nothing holds it)
-  // calls dispatch.
+detail::Process* Engine::dispatch() {
   for (;;) {
-    if (aborting_ || first_error_) {
-      // Teardown owns scheduling from here; wake run()/abort_all.
-      main_cv_.notify_all();
-      return;
-    }
+    if (aborting_ || first_error_) return nullptr;  // teardown is in charge
     if (!ready_.empty()) {
       detail::Process* p = ready_.front();
       ready_.pop_front();
       if (p->state != detail::ProcState::kReady) continue;
       p->state = detail::ProcState::kRunning;
       running_ = p;
-      p->resume_token = true;
-      // Handing the token back to the dispatching process itself needs no
-      // notify: its upcoming cv.wait sees resume_token and returns at once.
-      if (p != self) p->cv.notify_one();
-      return;
+      return p;
     }
     if (!queue_.empty()) {
       detail::ScheduledEvent ev =
@@ -253,82 +282,84 @@ void Engine::dispatch_locked(std::unique_lock<std::mutex>& lock,
         // the fault-free run's elapsed time after its transfer completed.
         if (pending_timers_.erase(ev.timer_id) == 0) continue;
       }
-      now_.store(ev.at, std::memory_order_relaxed);
+      now_ = ev.at;
       ++events_executed_;
-      // Actions run without the lock so they may freely use the public
-      // API (trigger flags, notify, schedule). Nothing else is runnable
-      // while an action executes (the token is free and every process is
-      // blocked or waiting), so this is race-free.
-      lock.unlock();
+      // No process is running while an action executes, so actions may use
+      // the public API (trigger flags, notify, schedule) but not block.
       ev.action();
-      lock.lock();
       continue;
     }
     // No runnable process and no pending event: the simulation is over —
     // run() decides whether that means "finished" or "deadlocked".
-    sim_stopped_ = true;
-    main_cv_.notify_all();
-    return;
+    return nullptr;
   }
 }
 
-void Engine::trampoline(detail::Process* p) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    p->cv.wait(lock, [p] { return p->resume_token; });
-    p->resume_token = false;
-    if (aborting_) {
-      p->state = detail::ProcState::kFinished;
-      running_ = nullptr;
-      main_cv_.notify_all();
-      return;
+void Engine::switch_to(detail::Process* to) {
+  detail::Process* from = on_cpu_;
+  on_cpu_ = to;
+  switched_from_ = from;
+  void* eh = abi::__cxa_get_globals();
+  std::memcpy(&from->eh, eh, sizeof(detail::EhState));
+  std::memcpy(eh, &to->eh, sizeof(detail::EhState));
+#ifdef MV2GNC_ASAN_FIBERS
+  // A finished process never runs again: let the sanitizer drop its frames.
+  __sanitizer_start_switch_fiber(
+      from->state == detail::ProcState::kFinished ? nullptr : &from->fake_stack,
+      to->stack_lo, to->stack_bytes);
+#endif
+  swapcontext(&from->uc, &to->uc);
+  detail::finish_switch(from, switched_from_);
+}
+
+void Engine::resume(detail::Process* p) {
+  switch_to(p);
+  // Back on the host. A finishing process switches here last, so its stack
+  // is free to go now rather than at teardown.
+  if (switched_from_->state == detail::ProcState::kFinished) {
+    switched_from_->release_stack();
+  }
+}
+
+void Engine::fiber_entry(unsigned hi, unsigned lo) {
+  reinterpret_cast<Engine*>((std::uintptr_t{hi} << 32) | lo)->trampoline();
+}
+
+void Engine::trampoline() {
+  detail::Process* p = on_cpu_;
+  detail::finish_switch(p, switched_from_);
+  if (!aborting_) {  // a process aborted before it ever ran skips its body
+    try {
+      p->body();
+    } catch (const ProcessAborted&) {
+      // Expected during teardown; fall through to finish bookkeeping.
+    } catch (...) {
+      if (!first_error_) first_error_ = std::current_exception();
     }
-    p->state = detail::ProcState::kRunning;
-    running_ = p;
   }
-  try {
-    p->body();
-  } catch (const ProcessAborted&) {
-    // Expected during teardown; fall through to finish bookkeeping.
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(mu_);
   p->state = detail::ProcState::kFinished;
-  if (running_ == p) running_ = nullptr;
-  if (aborting_ || first_error_) {
-    // Teardown (or a sibling's exception) is in charge; just report in.
-    main_cv_.notify_all();
-    return;
-  }
-  // Keep the simulation moving: the finishing thread dispatches onward.
-  dispatch_locked(lock, nullptr);
+  running_ = nullptr;
+  switch_to(host_.get());  // never comes back: resume() frees this stack
 }
 
 void Engine::run() {
   const auto wall_start = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(mu_);
   if (in_run_) throw std::logic_error("Engine::run() is not reentrant");
   in_run_ = true;
-  sim_stopped_ = false;
   const auto accumulate_wall = [&] {
     wall_seconds_ += std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
   };
-  // Kick the simulation off, then sleep until it stops: the processes
-  // themselves keep the dispatch loop running between here and there.
-  dispatch_locked(lock, nullptr);
-  main_cv_.wait(lock, [this] { return sim_stopped_ || first_error_; });
+  // The processes keep the dispatch loop going among themselves; control
+  // comes back here when one finishes, one throws, or nothing is left.
+  while (detail::Process* p = dispatch()) resume(p);
   if (first_error_) {
-    abort_all_locked(lock);
+    abort_all();
     in_run_ = false;
     accumulate_wall();
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;
-    lock.unlock();
-    join_all();
     std::rethrow_exception(err);
   }
   // Quiescent: everything finished, or every live process is stuck.
@@ -342,37 +373,27 @@ void Engine::run() {
     }
   }
   if (any_blocked) {
-    abort_all_locked(lock);
+    abort_all();
     in_run_ = false;
     accumulate_wall();
-    throw DeadlockError(
-        "simulation deadlock at t=" +
-        format_time(now_.load(std::memory_order_relaxed)) + diag.str());
+    throw DeadlockError("simulation deadlock at t=" + format_time(now_) +
+                        diag.str());
   }
   in_run_ = false;
   accumulate_wall();
 }
 
-void Engine::abort_all_locked(std::unique_lock<std::mutex>& lock) {
+void Engine::abort_all() {
   aborting_ = true;
-  for (;;) {
-    bool any_alive = false;
-    for (const auto& p : processes_) {
-      if (p->state == detail::ProcState::kBlocked ||
-          p->state == detail::ProcState::kReady) {
-        any_alive = true;
-        p->resume_token = true;
-        p->cv.notify_one();
-      }
+  // Resume every live process so its stack unwinds (ProcessAborted) and the
+  // destructors of its locals run; one that never started skips its body.
+  for (const auto& p : processes_) {
+    while (p->state == detail::ProcState::kBlocked ||
+           p->state == detail::ProcState::kReady) {
+      p->state = detail::ProcState::kRunning;
+      running_ = p.get();
+      resume(p.get());
     }
-    if (!any_alive) break;
-    main_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-}
-
-void Engine::join_all() {
-  for (auto& p : processes_) {
-    if (p->thread.joinable()) p->thread.join();
   }
 }
 

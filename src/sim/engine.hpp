@@ -1,41 +1,36 @@
 // Deterministic discrete-event engine with cooperative processes.
 //
-// A simulated process is an OS thread that runs *exclusively*: the engine
-// hands a single run token to exactly one process at a time, and a process
-// gives the token back whenever it blocks on virtual time (delay) or on a
-// condition (EventFlag / Notifier / Channel). Between process slices the
-// engine pops the earliest pending event and advances the virtual clock.
+// A simulated process is a fiber on the thread that calls run(): a ucontext
+// on its own mmap'd stack (8 MB reserved like a thread stack, committed only
+// as touched, freed when the process finishes). Exactly one process runs at
+// a time, and it gives the CPU back whenever it blocks on virtual time
+// (delay) or on a condition (EventFlag / Notifier / Channel). Between
+// process slices the engine pops the earliest pending event and advances
+// the virtual clock.
 //
-// Scheduling is dispatch-inline: there is no separate scheduler thread.
-// Whichever thread gives the token back (a blocking process, a finishing
-// process, or run() itself at the start) runs the dispatch loop in place —
-// executing due events and handing the token straight to the next ready
-// process. That halves the OS context switches per process slice compared
-// to bouncing through a dedicated scheduler thread, which is what makes
-// many-hundred-rank clusters tractable on the virtual clock (see
-// docs/SIMULATION.md). The dispatch order (ready FIFO first, then the
-// earliest event, seq-ordered within a timestamp) is exactly the order the
-// former scheduler-thread loop used, so virtual timings are unchanged.
+// Scheduling is dispatch-inline: whichever context gives the CPU back (a
+// blocking process, or run() itself) runs the dispatch loop in place —
+// executing due events and switching straight to the next ready process. A
+// hand-off is one user-space swapcontext, with no OS thread, lock or futex
+// involved (see docs/SIMULATION.md). The dispatch order (ready FIFO first,
+// then the earliest event, seq-ordered within a timestamp) is fixed, so
+// virtual timings do not depend on the host.
 //
 // The payoff is that code written against the simulated CUDA/MPI APIs looks
 // like ordinary blocking code, while the whole run is bit-deterministic:
 // same inputs => same event order => same virtual timings.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
-
 #include <unordered_set>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/small_fn.hpp"
@@ -57,24 +52,16 @@ class DeadlockError : public std::runtime_error {
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown inside process threads when the engine is tearing down early
+/// Thrown inside processes when the engine is tearing down early
 /// (e.g. after a deadlock or a sibling process threw). User code should not
 /// catch it; the process trampoline swallows it after unwinding.
 class ProcessAborted {};
 
 namespace detail {
 
-enum class ProcState { kReady, kRunning, kBlocked, kFinished };
-
-struct Process {
-  std::string name;
-  ProcState state = ProcState::kReady;
-  bool resume_token = false;
-  std::string wait_reason;
-  std::condition_variable cv;
-  std::thread thread;
-  std::function<void()> body;
-};
+/// A process's fiber: its state, stack and saved machine context (defined
+/// in engine.cpp, which alone touches ucontext).
+struct Process;
 
 struct ScheduledEvent {
   SimTime at;
@@ -152,7 +139,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Current virtual time. Callable from anywhere.
-  SimTime now() const;
+  SimTime now() const { return now_; }
 
   /// Create a process. Its body starts running once run() is called (or at
   /// the next scheduling point if spawned from a running process).
@@ -163,8 +150,9 @@ class Engine {
   void run();
 
   /// Schedule `action` at absolute virtual time `at` (must be >= now()).
-  /// Actions run in scheduler context (no process holds the run token while
-  /// one executes); they must be short and must not block.
+  /// Actions run in scheduler context (no process is running while one
+  /// executes); they must be short and must not block — a blocking
+  /// primitive called from one throws std::logic_error.
   void schedule_at(SimTime at, SmallFn action);
 
   /// Schedule `action` after a relative delay.
@@ -228,33 +216,36 @@ class Engine {
   template <typename T>
   friend class Channel;
 
-  detail::Process* current_locked() const;
-  void make_ready_locked(detail::Process* p);
+  /// The running process; throws std::logic_error when called from outside
+  /// one (from run()'s caller or from inside a scheduled action).
+  detail::Process* current() const;
+  void make_ready(detail::Process* p);
   // Blocks the calling process; `reason` shows up in deadlock reports.
-  void block_current_locked(std::unique_lock<std::mutex>& lock,
-                            const std::string& reason);
-  // The dispatch loop: run due events and hand the token to the next ready
-  // process, or declare the simulation stopped (quiescent). Called by
-  // whichever thread just released the token; `self` is the calling
-  // process (nullptr from run() or a finished process) so a self-handoff
-  // can skip the condition-variable round trip.
-  void dispatch_locked(std::unique_lock<std::mutex>& lock,
-                       detail::Process* self);
-  void trampoline(detail::Process* p);
-  void abort_all_locked(std::unique_lock<std::mutex>& lock);
-  void join_all();
+  void block_current(const std::string& reason);
+  // The dispatch loop: run due events until a process is ready, and return
+  // it (marked running), or nullptr once nothing is left to run or teardown
+  // is in charge. Runs on whichever context just gave the CPU back.
+  detail::Process* dispatch();
+  // Switch the CPU from the fiber on it to `to` (host_ = run()'s caller).
+  void switch_to(detail::Process* to);
+  // From run()'s caller: run `p` until control comes back, then free the
+  // stack of a process that finished.
+  void resume(detail::Process* p);
+  static void fiber_entry(unsigned hi, unsigned lo);
+  void trampoline();
+  void abort_all();
 
-  mutable std::mutex mu_;
-  std::condition_variable main_cv_;  // run()/abort wait here for progress
   std::vector<std::unique_ptr<detail::Process>> processes_;
   std::deque<detail::Process*> ready_;
   std::priority_queue<detail::ScheduledEvent, std::vector<detail::ScheduledEvent>,
                       detail::EventOrder>
       queue_;
-  detail::Process* running_ = nullptr;
-  // Written only in dispatch (under mu_); read lock-free by now() from the
-  // token-holding process, so ordinary loads suffice.
-  std::atomic<SimTime> now_{0};
+  // The context of run()'s caller, which the fibers switch back to.
+  std::unique_ptr<detail::Process> host_;
+  detail::Process* on_cpu_ = nullptr;       // fiber whose stack is running
+  detail::Process* switched_from_ = nullptr;  // fiber that last gave it up
+  detail::Process* running_ = nullptr;      // process executing its body
+  SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   TimerId next_timer_id_ = 1;
   std::unordered_set<TimerId> pending_timers_;
@@ -263,7 +254,6 @@ class Engine {
   double wall_seconds_ = 0.0;
   bool aborting_ = false;
   bool in_run_ = false;
-  bool sim_stopped_ = false;  // dispatch found nothing left to run
   std::exception_ptr first_error_;
 };
 

@@ -3,7 +3,7 @@
 // Thin RAII wrapper over Engine::schedule_timer/cancel_timer for protocol
 // retransmission deadlines: arm() replaces any previous deadline, cancel()
 // guarantees the callback will never run, and destruction cancels. The
-// callback executes on the scheduler thread, so it must only do wake-up
+// callback executes in scheduler context, so it must only do wake-up
 // work (typically Notifier::notify) — never blocking calls, and never the
 // retransmission itself.
 #pragma once

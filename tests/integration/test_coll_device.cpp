@@ -5,6 +5,7 @@
 // hang-free when a rank crash-stops mid-pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -367,7 +368,8 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
 
 // ---------------------------------------------------------------------------
 // Crash-stop mid device collective: survivors abort cleanly, nobody hangs,
-// survivor pools quiesce.
+// survivor pools quiesce, and the aborted op's scratch arena is parked
+// rather than recycled.
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
@@ -382,10 +384,16 @@ TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
   struct Outcome {
     bool finished = false;
     std::string error;
+    std::uint64_t allocs_at_abort = 0;
+    std::uint64_t allocs_after_next = 0;
   };
   std::vector<Outcome> outcome(4);
   cluster.run([&](Context& ctx) {
     auto& me = outcome[static_cast<std::size_t>(ctx.rank)];
+    // Built before the crash; the abort poisons only the world context.
+    mpisim::Communicator survivors =
+        ctx.comm.split(ctx.rank == 3 ? mpisim::Communicator::kUndefinedColor
+                                     : 0);
     const std::vector<double> in = seed_vector(ctx.rank, kCount);
     const std::size_t bytes = sizeof(double) * kCount;
     // Deliberately never freed before teardown: an aborted pipeline's
@@ -402,6 +410,12 @@ TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
     } catch (const mpisim::RequestError& e) {
       me.error = e.what();
     }
+    // The next collective (a barrier: one token of scratch on every rank,
+    // far less than the parked arena) must start a fresh arena — the
+    // parked one may still take stale deliveries.
+    me.allocs_at_abort = cluster.coll_stats(ctx.rank).scratch_allocs;
+    survivors.barrier();
+    me.allocs_after_next = cluster.coll_stats(ctx.rank).scratch_allocs;
     me.finished = true;
   });
   for (int r = 0; r < 3; ++r) {
@@ -409,6 +423,8 @@ TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
     EXPECT_TRUE(o.finished) << "rank " << r << " hung";
     EXPECT_NE(o.error.find("aborted"), std::string::npos)
         << "rank " << r << ": " << o.error;
+    EXPECT_EQ(cluster.coll_stats(r).scratch_parked, 1u) << "rank " << r;
+    EXPECT_EQ(o.allocs_after_next, o.allocs_at_abort + 1) << "rank " << r;
   }
   EXPECT_FALSE(outcome[3].finished);
   for (int r = 0; r < 3; ++r) {

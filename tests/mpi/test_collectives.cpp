@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mpi/cluster.hpp"
+#include "mpi/coll.hpp"
 
 namespace mpisim = mv2gnc::mpisim;
 namespace sim = mv2gnc::sim;
@@ -81,6 +82,33 @@ TEST_P(CollectivesBySize, AllreduceMax) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesBySize,
                          ::testing::Values(1, 2, 3, 4, 7, 8));
+
+TEST(Collectives, RepeatedAllreducesRecycleOneScratchArena) {
+  // The host scratch arena is sized by the first allreduce and reused,
+  // unzeroed, by the other 49: exactly one allocation per rank, and every
+  // result still exact.
+  constexpr int kRanks = 4;
+  constexpr int kCount = 4096;
+  Cluster cluster(ClusterConfig{.ranks = kRanks});
+  cluster.run([&](Context& ctx) {
+    std::vector<double> in(kCount), out(kCount);
+    for (int it = 0; it < 50; ++it) {
+      for (int i = 0; i < kCount; ++i) {
+        in[static_cast<std::size_t>(i)] = ctx.rank + it * i;
+      }
+      ctx.comm.allreduce_sum(in.data(), out.data(), kCount);
+      for (int i = 0; i < kCount; i += 97) {
+        ASSERT_EQ(out[static_cast<std::size_t>(i)], 6.0 + 4.0 * it * i)
+            << "iteration " << it << " element " << i;
+      }
+    }
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(cluster.coll_stats(r).allreduce.calls, 50u) << "rank " << r;
+    EXPECT_EQ(cluster.coll_stats(r).scratch_allocs, 1u) << "rank " << r;
+    EXPECT_EQ(cluster.coll_stats(r).scratch_parked, 0u) << "rank " << r;
+  }
+}
 
 TEST(Collectives, LargeBcastUsesRendezvous) {
   Cluster cluster(ClusterConfig{.ranks = 4});

@@ -1,13 +1,52 @@
 // Unit tests for the discrete-event engine: clock advance, determinism,
-// event ordering, flags/notifiers, deadlock detection, error propagation.
+// event ordering, flags/notifiers, deadlock detection, error propagation,
+// and the fiber stacks processes run on.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <array>
+#include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include <unistd.h>
+
 namespace sim = mv2gnc::sim;
+
+namespace {
+
+// Virtual and resident size of this process in bytes (/proc/self/statm).
+struct MemUse {
+  long vm = 0;
+  long rss = 0;
+};
+
+MemUse mem_use() {
+  MemUse m;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return m;
+  if (std::fscanf(f, "%ld %ld", &m.vm, &m.rss) != 2) m = {};
+  std::fclose(f);
+  const long page = sysconf(_SC_PAGESIZE);
+  m.vm *= page;
+  m.rss *= page;
+  return m;
+}
+
+constexpr long kStackReservation = 8L << 20;
+
+// Bumps a counter when destroyed: proves teardown ran a destructor.
+struct Counted {
+  int* n;
+  explicit Counted(int* counter) : n(counter) {}
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { ++*n; }
+};
+
+}  // namespace
 
 TEST(SimTime, UnitConstructors) {
   EXPECT_EQ(sim::nanoseconds(5), 5);
@@ -337,4 +376,143 @@ TEST(Engine, CancelledTimerNeverFiresNorAdvancesClock) {
   // The orphaned timer event is discarded without dragging the clock out to
   // its deadline.
   EXPECT_EQ(eng.now(), 100);
+}
+
+TEST(Engine, ProcessKeepsAMegabyteStackArrayAcrossSwitches) {
+  sim::Engine eng;
+  std::uint64_t sum = 0;
+  eng.spawn("deep", [&] {
+    std::array<unsigned char, 1 << 20> buf;
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<unsigned char>(i);
+    }
+    eng.delay(10);  // another process runs in between
+    for (unsigned char b : buf) sum += b;
+  });
+  eng.spawn("other", [&] {
+    std::array<unsigned char, 4096> noise;
+    noise.fill(0xff);
+    eng.delay(5);
+    EXPECT_EQ(noise[4095], 0xff);
+  });
+  eng.run();
+  EXPECT_EQ(sum, std::uint64_t{4096} * (255 * 256 / 2));
+}
+
+TEST(Engine, ThousandsOfProcessesCommitOnlyTheStackTheyTouch) {
+  constexpr int kProcs = 4096;
+  const long page = sysconf(_SC_PAGESIZE);
+  const MemUse before = mem_use();
+  MemUse peak;
+  int done = 0;
+  {
+    sim::Engine eng;
+    sim::EventFlag go(eng);
+    for (int i = 0; i < kProcs; ++i) {
+      eng.spawn("waiter", [&] {
+        go.wait();
+        ++done;
+      });
+    }
+    // Runs once every other process is blocked on `go`, stacks all live.
+    eng.spawn("probe", [&] {
+      eng.delay(1);
+      peak = mem_use();
+      go.trigger();
+    });
+    eng.run();
+    EXPECT_EQ(done, kProcs);
+    // Every stack is reserved in full but committed only where touched.
+    EXPECT_GE(peak.vm - before.vm, kProcs * kStackReservation);
+    EXPECT_LT(peak.rss - before.rss, kProcs * 16 * page);
+    // A finished process's stack is unmapped at once, not at teardown.
+    EXPECT_LT(mem_use().vm - before.vm, 64L << 20);
+  }
+}
+
+TEST(Engine, TeardownUnwindsBlockedProcessesAndSkipsUnstartedOnes) {
+  int locals_destroyed = 0;
+  int captures_destroyed = 0;
+  bool unstarted_ran = false;
+  const MemUse before = mem_use();
+  {
+    sim::Engine eng;
+    sim::EventFlag never(eng);
+    for (int i = 0; i < 3; ++i) {
+      eng.spawn("blocked", [&] {
+        Counted local(&locals_destroyed);
+        never.wait("forever");
+        ADD_FAILURE() << "a blocked process resumed normally";
+      });
+    }
+    eng.spawn("thrower", [&] {
+      eng.delay(10);
+      eng.spawn("unstarted",
+                [&, c = std::make_shared<Counted>(&captures_destroyed)] {
+                  unstarted_ran = true;
+                });
+      throw std::runtime_error("boom");
+    });
+    EXPECT_THROW(eng.run(), std::runtime_error);
+    EXPECT_EQ(locals_destroyed, 3);
+  }
+  {  // Destroyed with a process it never ran.
+    sim::Engine never_run;
+    never_run.spawn("idle",
+                    [&, c = std::make_shared<Counted>(&captures_destroyed)] {
+                      unstarted_ran = true;
+                    });
+  }
+  EXPECT_FALSE(unstarted_ran);
+  EXPECT_EQ(captures_destroyed, 2);
+  // No stack mapping outlives its Engine.
+  EXPECT_LT(mem_use().vm - before.vm, kStackReservation);
+}
+
+TEST(Engine, BlockingInsideScheduledActionThrows) {
+  sim::Engine eng;
+  sim::EventFlag flag(eng);
+  int threw = 0;
+  auto try_to_block = [&] {
+    try {
+      eng.delay(1);
+    } catch (const std::logic_error&) {
+      ++threw;
+    }
+    try {
+      flag.wait();
+    } catch (const std::logic_error&) {
+      ++threw;
+    }
+  };
+  // Dispatched on the blocked process's stack...
+  eng.spawn("p", [&] { eng.delay(100); });
+  eng.schedule_at(10, try_to_block);
+  // ...and by run() itself once every process has finished.
+  eng.schedule_at(200, try_to_block);
+  eng.run();
+  EXPECT_EQ(threw, 4);
+}
+
+TEST(Engine, ProcessBlockedInCatchHandlerKeepsItsOwnException) {
+  // p0 blocks inside its handler, p1 catches its own exception meanwhile,
+  // and p0 resumes first: the exception p0 sees must still be p0's.
+  sim::Engine eng;
+  std::vector<std::string> seen;
+  for (int i = 0; i < 2; ++i) {
+    eng.spawn(i == 0 ? "p0" : "p1", [&, i] {
+      try {
+        throw std::runtime_error(i == 0 ? "from p0" : "from p1");
+      } catch (const std::exception&) {
+        eng.delay(5 + 5 * i);
+        try {
+          std::rethrow_exception(std::current_exception());
+        } catch (const std::exception& e) {
+          seen.emplace_back(e.what());
+        }
+      }
+    });
+  }
+  eng.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"from p0", "from p1"}));
 }
