@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/sched.hpp"
+#include "sim/asan.hpp"
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -48,9 +49,53 @@ StagingSlot pinned_slot(cusim::CudaContext& cuda, std::size_t bytes) {
   return s;
 }
 
+void drop_staging(DeviceStaging& staging, cusim::CudaContext& cuda) {
+  if (staging.ptr != nullptr && !staging.busy) {
+    ASAN_UNPOISON_MEMORY_REGION(staging.ptr, staging.bytes);
+    cuda.free(staging.ptr);
+  }
+  staging = DeviceStaging{};
+}
+
 }  // namespace detail
 
 namespace {
+
+// The rank's staging buffer if idle, else a one-off cudaMalloc. Growth
+// frees and clears first, so a DeviceError leaves no dangling record.
+std::byte* acquire_staging(RankResources& res, std::size_t bytes) {
+  DeviceStaging* st = res.staging;
+  if (st->busy) return static_cast<std::byte*>(res.cuda->malloc(bytes));
+  if (st->bytes < bytes) {
+    detail::drop_staging(*st, *res.cuda);
+    st->ptr = static_cast<std::byte*>(res.cuda->malloc(bytes));
+    st->bytes = bytes;
+  }
+  // Idle, it is poisoned: ASan still sees a use after release.
+  ASAN_UNPOISON_MEMORY_REGION(st->ptr, st->bytes);
+  st->busy = true;
+  return st->ptr;
+}
+
+// The staging buffer goes idle; a one-off is freed.
+void release_staging(RankResources& res, std::byte*& buf) {
+  DeviceStaging* st = res.staging;
+  if (buf != nullptr && buf == st->ptr) {
+    st->busy = false;
+    ASAN_POISON_MEMORY_REGION(st->ptr, st->bytes);
+  } else {
+    res.cuda->free(buf);  // cudaFree(nullptr) is a no-op
+  }
+  buf = nullptr;
+}
+
+// A buffer a queued peer copy may still write goes to the graveyard; the
+// staging record is cleared so no stale copy lands in a later transfer.
+void park_staging(RankResources& res, std::byte*& buf) {
+  if (buf == res.staging->ptr) *res.staging = {};
+  res.slot_graveyard->push_back({.ptr = buf, .device_owner = res.cuda});
+  buf = nullptr;
+}
 
 // Scheduler-aware slot acquisition: the QoS/fairness gate rules first
 // (unless `gated` is false — guaranteed-progress slots bypass it), then the
@@ -268,10 +313,7 @@ RndvSend::~RndvSend() {
   try {
     timer_.cancel();
     if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
-    if (tbuf_ != nullptr) {
-      res_.cuda->free(tbuf_);
-      tbuf_ = nullptr;
-    }
+    release_staging(res_, tbuf_);
     if (ipc_mapped_) {
       res_.cuda->ipc_close_mem_handle(direct_base_);
       ipc_mapped_ = false;
@@ -320,7 +362,7 @@ void RndvSend::start(std::uint64_t tag_word) {
     // copies, each of which does a chunk size non-contiguous data pack").
     // With a stream data gate the packs are deferred to the graph's pack
     // node instead — they must not read the buffer before the gate fires.
-    tbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+    tbuf_ = acquire_staging(res_, plan_.total);
     for (std::size_t i = 0; i < plan_.count; ++i) {
       pack_events_[i] = submit_device_pack(
           *res_.cuda, res_.pack_stream, msg_, plan_.offset_of(i),
@@ -343,8 +385,7 @@ void RndvSend::build_graph() {
     const int pack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
     graph_.add_node(pack, [this] { return data_ready(); },
                     [this] {
-                      tbuf_ =
-                          static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+                      tbuf_ = acquire_staging(res_, plan_.total);
                       for (std::size_t i = 0; i < plan_.count; ++i) {
                         pack_events_[i] = submit_device_pack(
                             *res_.cuda, res_.pack_stream, msg_,
@@ -849,14 +890,11 @@ void RndvSend::complete_transfer() {
   // direct-mode SEND_DONE handshake may still be running; it needs no
   // staging resources).
   if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
-  if (tbuf_ != nullptr) {
-    // Safe even on the IPC path, where peer copies read the tbuf directly:
-    // maybe_complete() required every inflight write's local CQE, and the
-    // channel copies the bytes out when the transmit drains — before the
-    // CQE is delivered.
-    res_.cuda->free(tbuf_);
-    tbuf_ = nullptr;
-  }
+  // Safe even on the IPC path, where peer copies read the tbuf directly:
+  // maybe_complete() required every inflight write's local CQE, and the
+  // channel copies the bytes out when the transmit drains — before the CQE
+  // is delivered.
+  release_staging(res_, tbuf_);
   if (ipc_mapped_) {
     res_.cuda->ipc_close_mem_handle(direct_base_);
     ipc_mapped_ = false;
@@ -937,13 +975,7 @@ void RndvSend::abandon(const std::string& reason) {
     // this failed transfer may still reference it. Park it like a host slot.
     bool writes_queued = false;
     for (int n : inflight_) writes_queued = writes_queued || n > 0;
-    if (writes_queued) {
-      detail::StagingSlot park;
-      park.ptr = tbuf_;
-      park.device_owner = res_.cuda;
-      res_.slot_graveyard->push_back(park);
-      tbuf_ = nullptr;
-    }
+    if (writes_queued) park_staging(res_, tbuf_);
   }
   if (ipc_mapped_) {
     res_.cuda->ipc_close_mem_handle(direct_base_);
@@ -1040,10 +1072,7 @@ RndvRecv::~RndvRecv() {
       res_.sched->drop_pending(src_, sender_req_);
       res_.sched->unregister_transfer(req_id_);
     }
-    if (rtbuf_ != nullptr) {
-      res_.cuda->free(rtbuf_);
-      rtbuf_ = nullptr;
-    }
+    release_staging(res_, rtbuf_);
     for (auto& s : slots_) detail::release_slot(*res_.vbufs, s);
   } catch (...) {  // NOLINT(bugprone-empty-catch)
   }
@@ -1168,11 +1197,7 @@ void RndvRecv::abandon(const std::string& reason) {
     // Same hazard in device memory: the co-located sender's peer copies
     // target the rtbuf through its IPC mapping, and a queued duplicate may
     // still drain after this failure. Park it for teardown-time cudaFree.
-    detail::StagingSlot park;
-    park.ptr = rtbuf_;
-    park.device_owner = res_.cuda;
-    res_.slot_graveyard->push_back(park);
-    rtbuf_ = nullptr;
+    park_staging(res_, rtbuf_);
   }
   if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
 }
@@ -1208,7 +1233,7 @@ void RndvRecv::start() {
     // co-located sender opens the handle and peer-copies straight in.
     std::byte* landing;
     if (path_ == Path::kDeviceIpcOffload) {
-      rtbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+      rtbuf_ = acquire_staging(res_, plan_.total);
       landing = rtbuf_;
     } else {
       landing = static_cast<std::byte*>(msg_.base);
@@ -1222,7 +1247,7 @@ void RndvRecv::start() {
     return;
   }
   if (path_ == Path::kDeviceOffload) {
-    rtbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+    rtbuf_ = acquire_staging(res_, plan_.total);
   }
   // Advertise a window of landing slots. The first slot falls back to a
   // pinned one-off buffer when the pool is drained, so a CTS can always be
@@ -1625,10 +1650,7 @@ void RndvRecv::build_graph() {
                         [this] { ++completed_; });
       }
       graph_.set_epilogue(done, [this] {
-        if (completed_ == plan_.count && rtbuf_ != nullptr) {
-          res_.cuda->free(rtbuf_);
-          rtbuf_ = nullptr;
-        }
+        if (completed_ == plan_.count) release_staging(res_, rtbuf_);
       });
       return;
     }

@@ -89,6 +89,14 @@ struct RetryStats {
   }
 };
 
+/// The rank's recycled device tbuf/rtbuf: one holder at a time, grows only,
+/// and stays charged to device capacity when idle, like MVAPICH2's staging.
+struct DeviceStaging {
+  std::byte* ptr = nullptr;
+  std::size_t bytes = 0;
+  bool busy = false;
+};
+
 namespace detail {
 
 /// A staging buffer that is either a pooled vbuf or (for oversized chunks,
@@ -110,6 +118,8 @@ StagingSlot acquire_slot(VbufPool& pool, cusim::CudaContext& cuda,
                          std::size_t bytes);
 void release_slot(VbufPool& pool, StagingSlot& slot);
 StagingSlot pinned_slot(cusim::CudaContext& cuda, std::size_t bytes);
+/// Free the buffer if idle and clear the record (a holder frees a one-off).
+void drop_staging(DeviceStaging& staging, cusim::CudaContext& cuda);
 
 }  // namespace detail
 
@@ -143,6 +153,7 @@ struct RankResources {
   /// the owning RankComm frees them at destruction, after the engine has
   /// drained every event.
   std::vector<detail::StagingSlot>* slot_graveyard = nullptr;
+  DeviceStaging* staging = nullptr;  // RankComm-owned, never null
   /// Multi-transfer progress scheduler (docs/CONCURRENCY.md): vbuf QoS and
   /// fairness gating, adaptive pipeline depth, ack/credit coalescing and
   /// the control-message census. Null disables all of it (legacy behavior,

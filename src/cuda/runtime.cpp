@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/row_copy.hpp"
+
 namespace mv2gnc::cusim {
 
 using gpu::CopyDir;
@@ -346,11 +348,10 @@ std::function<void()> copy2d_mover(void* dst, std::size_t dpitch,
                                    const void* src, std::size_t spitch,
                                    std::size_t width, std::size_t height) {
   return [=] {
-    auto* d = static_cast<std::byte*>(dst);
-    const auto* s = static_cast<const std::byte*>(src);
-    for (std::size_t row = 0; row < height; ++row) {
-      std::memcpy(d + row * dpitch, s + row * spitch, width);
-    }
+    sim::copy_rows(static_cast<std::byte*>(dst),
+                   static_cast<std::ptrdiff_t>(dpitch),
+                   static_cast<const std::byte*>(src),
+                   static_cast<std::ptrdiff_t>(spitch), width, height);
   };
 }
 

@@ -41,6 +41,7 @@ void* Device::allocate(std::size_t bytes) {
   allocations_.emplace(ptr, std::move(buf));
   allocation_sizes_.emplace(ptr, bytes);
   bytes_allocated_ += bytes;
+  ++allocations_made_;
   return ptr;
 }
 

@@ -54,6 +54,8 @@ class Device {
   std::size_t bytes_allocated() const { return bytes_allocated_; }
   std::size_t capacity() const { return capacity_; }
   std::size_t live_allocations() const { return allocations_.size(); }
+  /// Successful allocate() calls over the device's lifetime.
+  std::size_t allocations_made() const { return allocations_made_; }
 
   /// DMA engine moving data device -> host (one of the two copy engines).
   sim::FifoResource& d2h_engine() { return d2h_engine_; }
@@ -71,6 +73,7 @@ class Device {
   GpuCostModel cost_;
   std::size_t capacity_;
   std::size_t bytes_allocated_ = 0;
+  std::size_t allocations_made_ = 0;
   std::unordered_map<void*, std::unique_ptr<std::byte[]>> allocations_;
   std::unordered_map<void*, std::size_t> allocation_sizes_;
   sim::FifoResource d2h_engine_;

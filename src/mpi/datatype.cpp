@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/row_copy.hpp"
+
 namespace mv2gnc::mpisim {
 
 namespace detail {
@@ -734,9 +736,9 @@ std::byte* bytes(const void* p) {
 }
 
 // The one gather/scatter walk: copy `nbytes` of packed stream starting at
-// `cur`, typed -> dense when packing, dense -> typed otherwise. One memcpy
-// per run in range, after one group lookup: the cursor then walks forward
-// (each subsequent element starts at run 0 with no skip).
+// `cur`, typed -> dense when packing, dense -> typed otherwise. One row copy
+// per group stretch in range, after one group lookup: the cursor then walks
+// forward (each subsequent element starts at run 0 with no skip).
 void move_from_cursor(const TypeNode& n, bool pack, std::byte* typed,
                       std::byte* dense, PackCursor cur, std::size_t nbytes) {
   const std::int64_t ext = n.extent();
@@ -749,18 +751,29 @@ void move_from_cursor(const TypeNode& n, bool pack, std::byte* typed,
     const std::int64_t elem_base = static_cast<std::int64_t>(e) * ext;
     while (remaining > 0 && gi < n.groups.size()) {
       const StridedGroup& g = n.groups[gi];
-      const std::size_t take = std::min(g.block - skip, remaining);
       std::byte* run = typed + elem_base + g.first_offset +
                        static_cast<std::int64_t>(row) * g.stride +
                        static_cast<std::int64_t>(skip);
-      if (pack) {
-        std::memcpy(dense, run, take);
+      std::byte* to = pack ? dense : run;
+      const std::byte* from = pack ? run : dense;
+      // Two or more whole runs in range move as one strided row copy.
+      std::size_t rows = skip == 0 ? g.rows - row : 0;
+      if (rows * g.block > remaining) rows = remaining / g.block;
+      if (rows > 1) {
+        const auto block = static_cast<std::ptrdiff_t>(g.block);
+        sim::copy_rows(to, pack ? block : g.stride, from,
+                       pack ? g.stride : block, g.block, rows);
+        dense += rows * g.block;
+        remaining -= rows * g.block;
+        row += rows - 1;
+        skip = g.block;  // the step below moves past the last run
       } else {
-        std::memcpy(run, dense, take);
+        const std::size_t take = std::min(g.block - skip, remaining);
+        std::memcpy(to, from, take);
+        dense += take;
+        remaining -= take;
+        skip += take;
       }
-      dense += take;
-      remaining -= take;
-      skip += take;
       if (skip == g.block) {
         skip = 0;
         if (++row == g.rows) {

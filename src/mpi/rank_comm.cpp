@@ -62,6 +62,7 @@ RankComm::RankComm(int rank, int size, sim::Engine& engine,
   res_.trace = trace;
   res_.rank = rank;
   res_.slot_graveyard = &slot_graveyard_;
+  res_.staging = &staging_;
   sched_.set_notifier(&notifier_);
   res_.sched = &sched_;
   res_.trig = &trig_stats_;
@@ -79,6 +80,7 @@ RankComm::~RankComm() {
   // write can still reference a surrendered slot.
   for (auto& s : slot_graveyard_) core::detail::release_slot(vbuf_pool_, s);
   slot_graveyard_.clear();
+  core::detail::drop_staging(staging_, *res_.cuda);
   registry_.unregister_pinned_host(vbuf_pool_.arena());
 }
 

@@ -343,6 +343,8 @@ class RankComm {
   core::VbufPool vbuf_pool_;
   sim::Notifier notifier_;
   core::TransferScheduler sched_;
+  /// res_.staging; outlives the transfer maps, whose holders release it.
+  core::DeviceStaging staging_;
   core::RankResources res_;
 
   ApiStats api_stats_;

@@ -13,17 +13,7 @@
 #include <sstream>
 #include <utility>
 
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MV2GNC_ASAN_FIBERS 1
-#endif
-#endif
-#if defined(__SANITIZE_ADDRESS__)
-#define MV2GNC_ASAN_FIBERS 1
-#endif
-#ifdef MV2GNC_ASAN_FIBERS
-#include <sanitizer/common_interface_defs.h>
-#endif
+#include "sim/asan.hpp"
 
 namespace mv2gnc::sim {
 
@@ -101,7 +91,7 @@ struct Process {
 // bounds of the stack it came from (how the host's become known).
 void finish_switch([[maybe_unused]] Process* self,
                    [[maybe_unused]] Process* from) {
-#ifdef MV2GNC_ASAN_FIBERS
+#ifdef MV2GNC_ASAN
   __sanitizer_finish_switch_fiber(self->fake_stack, &from->stack_lo,
                                   &from->stack_bytes);
 #endif
@@ -302,7 +292,7 @@ void Engine::switch_to(detail::Process* to) {
   void* eh = abi::__cxa_get_globals();
   std::memcpy(&from->eh, eh, sizeof(detail::EhState));
   std::memcpy(eh, &to->eh, sizeof(detail::EhState));
-#ifdef MV2GNC_ASAN_FIBERS
+#ifdef MV2GNC_ASAN
   // A finished process never runs again: let the sanitizer drop its frames.
   __sanitizer_start_switch_fiber(
       from->state == detail::ProcState::kFinished ? nullptr : &from->fake_stack,

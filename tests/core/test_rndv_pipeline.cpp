@@ -61,6 +61,39 @@ sim::SimTime timed_transfer(const core::Tunables& tun, int rows) {
   return elapsed;
 }
 
+// Strided device column of `rows` 4-byte elements every 8 bytes, filled
+// with a pattern keyed on `salt` (sender) or zeroed (receiver).
+std::byte* column_buffer(Context& ctx, int rows, bool fill, int salt) {
+  const std::size_t span = static_cast<std::size_t>(rows) * 8;
+  auto* dev = static_cast<std::byte*>(ctx.cuda->malloc(span));
+  std::vector<std::byte> host(span);
+  for (std::size_t i = 0; i < span; ++i) {
+    host[i] = fill ? static_cast<std::byte>((i * 29 + salt) & 0xFF)
+                   : std::byte{0};
+  }
+  ctx.cuda->memcpy(dev, host.data(), span);
+  return dev;
+}
+
+// Column elements of `dev` that differ from column_buffer's pattern.
+std::size_t column_mismatches(Context& ctx, const std::byte* dev, int rows,
+                              int salt) {
+  const std::size_t span = static_cast<std::size_t>(rows) * 8;
+  std::vector<std::byte> out(span);
+  ctx.cuda->memcpy(out.data(), dev, span);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < span; i += 8) {
+    for (std::size_t b = i; b < i + 4; ++b) {
+      if (out[b] != static_cast<std::byte>((b * 29 + salt) & 0xFF)) ++bad;
+    }
+  }
+  return bad;
+}
+
+std::size_t allocations_made(Context& ctx) {
+  return ctx.cuda->device().allocations_made();
+}
+
 }  // namespace
 
 TEST(RndvPipeline, TinyVbufPoolStillCompletes) {
@@ -209,6 +242,114 @@ TEST(RndvPipeline, DeviceOomOnTbufSurfaces) {
         }
       }),
       mv2gnc::gpu::DeviceError);
+}
+
+TEST(RndvPipeline, EqualSendsReuseOneStagingBuffer) {
+  // Twenty back-to-back 1 MB strided device sends: the sender's tbuf and
+  // the receiver's rtbuf are the rank's staging buffer, allocated once.
+  Cluster cluster(ClusterConfig{});
+  cluster.run([](Context& ctx) {
+    const int rows = 1 << 18;  // 1 MB packed
+    auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+    std::byte* dev = column_buffer(ctx, rows, ctx.rank == 0, 3);
+    const std::size_t before = allocations_made(ctx);
+    for (int i = 0; i < 20; ++i) {
+      if (ctx.rank == 0) {
+        ctx.comm.send(dev, 1, col, 1, i);
+      } else {
+        ctx.comm.recv(dev, 1, col, 0, i);
+      }
+    }
+    ctx.comm.barrier();
+    EXPECT_EQ(allocations_made(ctx) - before, 1u) << "rank " << ctx.rank;
+    if (ctx.rank == 1) {
+      EXPECT_EQ(column_mismatches(ctx, dev, rows, 3), 0u);
+    }
+    ctx.cuda->free(dev);
+  });
+}
+
+TEST(RndvPipeline, StagingBufferGrowsOnlyOnDemand) {
+  // Ascending then descending packed sizes: only the three growth steps
+  // allocate; smaller messages fit in the buffer the larger one left.
+  Cluster cluster(ClusterConfig{});
+  cluster.run([](Context& ctx) {
+    const int max_rows = 1 << 18;
+    std::byte* dev = column_buffer(ctx, max_rows, ctx.rank == 0, 5);
+    const std::size_t before = allocations_made(ctx);
+    int tag = 0;
+    for (const int rows : {1 << 16, 1 << 17, 1 << 18, 1 << 17, 1 << 16}) {
+      auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+      if (ctx.rank == 0) {
+        ctx.comm.send(dev, 1, col, 1, tag++);
+      } else {
+        ctx.comm.recv(dev, 1, col, 0, tag++);
+        EXPECT_EQ(column_mismatches(ctx, dev, rows, 5), 0u) << rows;
+      }
+    }
+    ctx.comm.barrier();
+    EXPECT_EQ(allocations_made(ctx) - before, 3u) << "rank " << ctx.rank;
+    ctx.cuda->free(dev);
+  });
+}
+
+TEST(RndvPipeline, ConcurrentSendTakesOneOffStaging) {
+  // Two pipelined sends in flight from one rank: the first holds the
+  // staging buffer, the second packs into a one-off that is freed again.
+  // Both arrive byte-exact, and only the idle staging buffer outlives them.
+  Cluster cluster(ClusterConfig{});
+  cluster.run([](Context& ctx) {
+    const int rows = 1 << 18;
+    auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+    std::byte* a = column_buffer(ctx, rows, ctx.rank == 0, 7);
+    std::byte* b = column_buffer(ctx, rows, ctx.rank == 0, 11);
+    const std::size_t live = ctx.cuda->device().live_allocations();
+    const std::size_t before = allocations_made(ctx);
+    std::vector<mpisim::Request> reqs;
+    if (ctx.rank == 0) {
+      reqs.push_back(ctx.comm.isend(a, 1, col, 1, 0));
+      reqs.push_back(ctx.comm.isend(b, 1, col, 1, 1));
+    } else {
+      reqs.push_back(ctx.comm.irecv(a, 1, col, 0, 0));
+      reqs.push_back(ctx.comm.irecv(b, 1, col, 0, 1));
+    }
+    ctx.comm.waitall(reqs);
+    ctx.comm.barrier();
+    if (ctx.rank == 1) {
+      EXPECT_EQ(column_mismatches(ctx, a, rows, 7), 0u);
+      EXPECT_EQ(column_mismatches(ctx, b, rows, 11), 0u);
+    }
+    EXPECT_EQ(allocations_made(ctx) - before, 2u) << "rank " << ctx.rank;
+    EXPECT_EQ(ctx.cuda->device().live_allocations(), live + 1)
+        << "rank " << ctx.rank;
+    ctx.cuda->free(a);
+    ctx.cuda->free(b);
+  });
+}
+
+TEST(RndvPipeline, DeviceSelfSendSharesStagingWithItsReceive) {
+  // A strided device self-send: the send and the matching receive are
+  // concurrent transfers of one rank, one on the staging buffer and one on
+  // a one-off.
+  Cluster cluster(ClusterConfig{});
+  cluster.run([](Context& ctx) {
+    if (ctx.rank != 0) return;
+    const int rows = 1 << 18;
+    auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+    std::byte* src = column_buffer(ctx, rows, true, 13);
+    std::byte* dst = column_buffer(ctx, rows, false, 0);
+    const std::size_t live = ctx.cuda->device().live_allocations();
+    const std::size_t before = allocations_made(ctx);
+    auto r = ctx.comm.irecv(dst, 1, col, 0, 4);
+    auto s = ctx.comm.isend(src, 1, col, 0, 4);
+    ctx.comm.wait(r);
+    ctx.comm.wait(s);
+    EXPECT_EQ(column_mismatches(ctx, dst, rows, 13), 0u);
+    EXPECT_EQ(allocations_made(ctx) - before, 2u);
+    EXPECT_EQ(ctx.cuda->device().live_allocations(), live + 1);
+    ctx.cuda->free(src);
+    ctx.cuda->free(dst);
+  });
 }
 
 TEST(RndvPipeline, SelfSendEagerAndRendezvous) {

@@ -16,6 +16,7 @@ namespace mpisim = mv2gnc::mpisim;
 namespace netsim = mv2gnc::netsim;
 namespace core = mv2gnc::core;
 namespace sim = mv2gnc::sim;
+namespace gpu = mv2gnc::gpu;
 using mpisim::Cluster;
 using mpisim::ClusterConfig;
 using mpisim::Context;
@@ -177,6 +178,84 @@ TEST(IpcReliability, SenderAbortPropagatesOverIpc) {
   EXPECT_LE(receiver_failed_at, sim::SimTime{10'000'000});
   EXPECT_EQ(cluster.retry_stats(0).transfer_failures, 1u);
   EXPECT_EQ(cluster.retry_stats(1).transfer_failures, 1u);
+}
+
+TEST(IpcReliability, AbortParksDeviceStagingBuffer) {
+  // A strided device-to-device transfer between co-located ranks runs the
+  // IPC offload path: peer copies land in the receiver's staging buffer.
+  // Every fin is swallowed, so the transfer fails while the sender may
+  // still have copies queued against that buffer. It must go to the
+  // graveyard, not back into recycling: the next transfer allocates a
+  // fresh staging buffer and arrives intact.
+  ClusterConfig cfg = colocated(2, 2);
+  cfg.rng_seed = 13;
+  cfg.tunables.rndv_timeout_ns = 200'000;
+  cfg.tunables.rndv_max_retries = 3;
+  netsim::FaultSpec swallow;
+  swallow.drop_imm = 1.0;
+  cfg.ipc_faults.set_kind(core::kChunkFin, swallow);
+  Cluster cluster(cfg);
+  netsim::IpcChannel* channel = cluster.ipc_channel(0);
+  ASSERT_NE(channel, nullptr);
+  std::size_t mismatches = 0;
+  cluster.run([&](Context& ctx) {
+    const int rows = 1 << 17;  // 512 KB packed
+    auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+    const std::size_t span = static_cast<std::size_t>(rows) * 8;
+    auto* dev = static_cast<std::byte*>(ctx.cuda->malloc(span));
+    std::vector<std::byte> host(span);
+    for (std::size_t i = 0; i < span; ++i) {
+      host[i] = static_cast<std::byte>((i * 61 + 5) & 0xFF);
+    }
+    ctx.cuda->memcpy(dev, host.data(), span);
+    const gpu::Device& gpu = ctx.cuda->device();
+    const std::size_t live = gpu.live_allocations();
+    bool failed = false;
+    try {
+      if (ctx.rank == 0) {
+        ctx.comm.send(dev, 1, col, 1, 0);
+      } else {
+        ctx.comm.recv(dev, 1, col, 0, 0);
+      }
+    } catch (const mpisim::RequestError&) {
+      failed = true;
+    }
+    EXPECT_TRUE(failed) << "rank " << ctx.rank;
+    ctx.comm.barrier();
+    if (ctx.rank == 1) {
+      // The landing buffer is parked, still allocated, until teardown.
+      EXPECT_EQ(gpu.live_allocations(), live + 1);
+    }
+    if (ctx.rank == 0) channel->faults().set_kind(core::kChunkFin, {});
+    ctx.comm.barrier();
+    const std::size_t made = gpu.allocations_made();
+    if (ctx.rank == 0) {
+      ctx.comm.send(dev, 1, col, 1, 1);
+    } else {
+      ctx.cuda->memset(dev, 0, span);
+      ctx.comm.recv(dev, 1, col, 0, 1);
+      ctx.cuda->memcpy(host.data(), dev, span);
+      for (std::size_t i = 0; i < span; i += 8) {
+        for (std::size_t b = i; b < i + 4; ++b) {
+          if (host[b] != static_cast<std::byte>((b * 61 + 5) & 0xFF)) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+    ctx.comm.barrier();
+    if (ctx.rank == 1) {
+      EXPECT_EQ(gpu.allocations_made() - made, 1u);
+      EXPECT_EQ(gpu.live_allocations(), live + 2);
+    } else {
+      // The failed send had no copy queued: its buffer was recycled.
+      EXPECT_EQ(gpu.allocations_made() - made, 0u);
+    }
+    EXPECT_EQ(ctx.cuda->open_ipc_handles(), 0u) << "rank " << ctx.rank;
+    ctx.cuda->free(dev);
+  });
+  expect_pools_quiesced(cluster);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(IpcReliability, ForceDrainCompletesDirectReceiverOverIpc) {
