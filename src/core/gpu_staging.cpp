@@ -3,49 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mv2gnc::core {
 
 namespace {
-
-using mpisim::VectorPattern;
-
-struct PatternSlice {
-  std::byte* first_block;  // address of the first block in the range
-  std::size_t rows;
-  std::size_t block;
-  std::size_t stride;
-};
-
-// Resolve packed range [offset, offset+bytes) of a patterned message to a
-// 2-D region. Requires block-aligned offset/bytes.
-PatternSlice slice_pattern(const MsgView& msg, std::size_t offset,
-                           std::size_t bytes) {
-  const VectorPattern& p = *msg.pattern;
-  if (p.stride_bytes <= 0 ||
-      static_cast<std::size_t>(p.stride_bytes) < p.block_bytes) {
-    throw std::logic_error("slice_pattern: degenerate stride");
-  }
-  if (offset % p.block_bytes != 0 || bytes % p.block_bytes != 0) {
-    throw std::logic_error("slice_pattern: range not block-aligned");
-  }
-  const std::size_t r0 = offset / p.block_bytes;
-  const std::size_t rows = bytes / p.block_bytes;
-  if (r0 + rows > p.count) {
-    throw std::out_of_range("slice_pattern: range beyond pattern");
-  }
-  std::byte* first = static_cast<std::byte*>(msg.base) +
-                     msg.dtype.groups().front().first_offset +
-                     static_cast<std::int64_t>(r0) * p.stride_bytes;
-  return PatternSlice{first, rows, p.block_bytes,
-                      static_cast<std::size_t>(p.stride_bytes)};
-}
-
-bool patterned(const MsgView& msg) {
-  return msg.pattern.has_value() && msg.pattern->stride_bytes > 0 &&
-         static_cast<std::size_t>(msg.pattern->stride_bytes) >=
-             msg.pattern->block_bytes;
-}
 
 // Generalized device pack/unpack kernel: a per-run gather/scatter over
 // arbitrary descriptors. Every run pays the full first-row cost — unlike a
@@ -57,18 +19,7 @@ cusim::Event submit_generalized(cusim::CudaContext& ctx, cusim::Stream& stream,
                                 std::size_t bytes, std::byte* dense,
                                 bool packing) {
   const auto& cost = ctx.device().cost();
-  std::size_t runs;
-  if (msg.plan && msg.plan->packed_bytes() > 0) {
-    runs = msg.plan->segments_in_range(offset, bytes);
-  } else {
-    const std::size_t total_segs = msg.dtype.total_segments(msg.count);
-    const double frac = msg.packed_bytes
-                            ? static_cast<double>(bytes) /
-                                  static_cast<double>(msg.packed_bytes)
-                            : 0.0;
-    runs = static_cast<std::size_t>(static_cast<double>(total_segs) * frac +
-                                    0.5);
-  }
+  const std::size_t runs = msg.plan->segments_in_range(offset, bytes);
   const sim::SimTime dur =
       cost.d2d_2d_setup_ns + cost.copy_launch_ns +
       static_cast<sim::SimTime>(static_cast<double>(runs) *
@@ -87,25 +38,28 @@ cusim::Event submit_generalized(cusim::CudaContext& ctx, cusim::Stream& stream,
   return ctx.record_event(stream);
 }
 
-// Batched sub-pattern pack/unpack: the plan decomposed the irregular run
-// list into a few maximal uniform (block, stride, rows) groups, so the
-// packed range becomes a short sequence of 2-D copies (plus 1-D head/tail
-// copies where a chunk boundary splits a row) instead of one degenerate
-// per-row gather.
+// Batched sub-pattern pack/unpack: the plan lowered the layout to a few
+// maximal uniform (block, stride, rows) groups, so the packed range becomes
+// a short sequence of 2-D copies (plus 1-D head/tail copies where a chunk
+// boundary splits a row) instead of one degenerate per-row gather. `kind`
+// is the direction of the copy (device pack: device-to-device; PCIe pack:
+// device-to-host; PCIe unpack: host-to-device).
 cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
                                  cusim::Stream& stream, const MsgView& msg,
                                  std::size_t offset, std::size_t bytes,
-                                 std::byte* dense, bool packing) {
+                                 std::byte* dense, bool packing,
+                                 cusim::MemcpyKind kind) {
+  if (msg.plan->subpatterns().empty()) {
+    throw std::logic_error("submit_subpatterned: layout has no 2-D groups");
+  }
   auto* base = static_cast<std::byte*>(msg.base);
   const std::size_t end = offset + bytes;
   const auto copy1d = [&](std::byte* strided, std::byte* packed,
                           std::size_t n) {
     if (packing) {
-      ctx.memcpy_async(packed, strided, n,
-                       cusim::MemcpyKind::kDeviceToDevice, stream);
+      ctx.memcpy_async(packed, strided, n, kind, stream);
     } else {
-      ctx.memcpy_async(strided, packed, n,
-                       cusim::MemcpyKind::kDeviceToDevice, stream);
+      ctx.memcpy_async(strided, packed, n, kind, stream);
     }
   };
   for (const SubPattern& sp : msg.plan->subpatterns()) {
@@ -132,10 +86,10 @@ cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
       const auto stride = static_cast<std::size_t>(sp.stride);
       if (packing) {
         ctx.memcpy2d_async(d, sp.block, first, stride, sp.block, full_rows,
-                           cusim::MemcpyKind::kDeviceToDevice, stream);
+                           kind, stream);
       } else {
         ctx.memcpy2d_async(first, stride, d, sp.block, sp.block, full_rows,
-                           cusim::MemcpyKind::kDeviceToDevice, stream);
+                           kind, stream);
       }
       lo += full_rows * sp.block;
       d += full_rows * sp.block;
@@ -149,20 +103,24 @@ cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
   return ctx.record_event(stream);
 }
 
-// True when the plan carries sub-patterns the batched path can drive
-// (kSingleVector plans carry exactly one, which also serves unaligned
-// slices of patterned messages).
-bool subpatterned(const MsgView& msg) {
-  return msg.plan && !msg.plan->subpatterns().empty();
+// The whole message as one 2-D copy: the plan's single group, or throw.
+const SubPattern& whole_group(const MsgView& msg, const char* api) {
+  const SubPattern* g = msg.plan->single_group();
+  if (g == nullptr) {
+    throw std::logic_error(std::string(api) +
+                           ": strided scheme requires a single strided "
+                           "group; use the pipeline path for other layouts");
+  }
+  return *g;
 }
 
 }  // namespace
 
 std::size_t align_chunk_to_pattern(const MsgView& msg, std::size_t chunk) {
-  if (msg.contiguous || !patterned(msg)) return chunk;
-  const std::size_t block = msg.pattern->block_bytes;
-  if (chunk <= block) return block;
-  return (chunk / block) * block;
+  const SubPattern* g = msg.plan->single_group();
+  if (g == nullptr) return chunk;
+  if (chunk <= g->block) return g->block;
+  return (chunk / g->block) * g->block;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,25 +138,22 @@ void stage_to_host(cusim::CudaContext& ctx, PackScheme scheme,
                cusim::MemcpyKind::kDeviceToHost);
     return;
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "stage_to_host: strided scheme requires a vector pattern; use the "
-        "pipeline path for irregular datatypes");
-  }
-  const PatternSlice s = slice_pattern(msg, 0, msg.packed_bytes);
+  const SubPattern& g = whole_group(msg, "stage_to_host");
+  const std::byte* first = static_cast<std::byte*>(msg.base) + g.first_offset;
+  const auto stride = static_cast<std::size_t>(g.stride);
   switch (scheme) {
     case PackScheme::kD2H_nc2nc:
       // Same-layout copy out: the host image keeps the device stride.
-      ctx.memcpy2d(host_dst, s.stride, s.first_block, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kDeviceToHost);
+      ctx.memcpy2d(host_dst, stride, first, stride, g.block, g.rows,
+                   cusim::MemcpyKind::kDeviceToHost);
       return;
     case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(host_dst, s.block, s.first_block, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kDeviceToHost);
+      ctx.memcpy2d(host_dst, g.block, first, stride, g.block, g.rows,
+                   cusim::MemcpyKind::kDeviceToHost);
       return;
     case PackScheme::kD2D2H_nc2c2c: {
       auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
-      ctx.memcpy2d(tbuf, s.block, s.first_block, s.stride, s.block, s.rows,
+      ctx.memcpy2d(tbuf, g.block, first, stride, g.block, g.rows,
                    cusim::MemcpyKind::kDeviceToDevice);
       ctx.memcpy(host_dst, tbuf, msg.packed_bytes,
                  cusim::MemcpyKind::kDeviceToHost);
@@ -219,25 +174,23 @@ void stage_from_host(cusim::CudaContext& ctx, PackScheme scheme,
                cusim::MemcpyKind::kHostToDevice);
     return;
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "stage_from_host: strided scheme requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, 0, msg.packed_bytes);
+  const SubPattern& g = whole_group(msg, "stage_from_host");
+  std::byte* first = static_cast<std::byte*>(msg.base) + g.first_offset;
+  const auto stride = static_cast<std::size_t>(g.stride);
   switch (scheme) {
     case PackScheme::kD2H_nc2nc:
-      ctx.memcpy2d(s.first_block, s.stride, host_src, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kHostToDevice);
+      ctx.memcpy2d(first, stride, host_src, stride, g.block, g.rows,
+                   cusim::MemcpyKind::kHostToDevice);
       return;
     case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(s.first_block, s.stride, host_src, s.block, s.block,
-                   s.rows, cusim::MemcpyKind::kHostToDevice);
+      ctx.memcpy2d(first, stride, host_src, g.block, g.block, g.rows,
+                   cusim::MemcpyKind::kHostToDevice);
       return;
     case PackScheme::kD2D2H_nc2c2c: {
       auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
       ctx.memcpy(tbuf, host_src, msg.packed_bytes,
                  cusim::MemcpyKind::kHostToDevice);
-      ctx.memcpy2d(s.first_block, s.stride, tbuf, s.block, s.block, s.rows,
+      ctx.memcpy2d(first, stride, tbuf, g.block, g.block, g.rows,
                    cusim::MemcpyKind::kDeviceToDevice);
       ctx.free(tbuf);
       return;
@@ -260,17 +213,16 @@ void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(host_dst, msg.base, nbytes, cusim::MemcpyKind::kDeviceToHost);
     return;
   }
-  const bool aligned =
-      patterned(msg) && nbytes % msg.pattern->block_bytes == 0;
-  if (aligned && !offload) {
+  const SubPattern* g = msg.plan->single_group();
+  if (!offload && g != nullptr && nbytes % g->block == 0) {
     auto& stream = ctx.default_stream();
     submit_pcie_pack_to_host(ctx, stream, msg, 0, nbytes, host_dst)
         .synchronize();
     return;
   }
-  // Offload (or irregular layout): pack on the device, then contiguous D2H.
-  // submit_device_pack picks 2-D / batched sub-pattern / generalized from
-  // the plan, including unaligned slices.
+  // Offload (or no single group): pack on the device, then contiguous D2H.
+  // submit_device_pack picks batched 2-D / generalized from the plan,
+  // including unaligned slices.
   auto* tbuf = static_cast<std::byte*>(ctx.malloc(nbytes));
   auto& stream = ctx.default_stream();
   submit_device_pack(ctx, stream, msg, 0, nbytes, tbuf).synchronize();
@@ -289,9 +241,8 @@ void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(msg.base, host_src, nbytes, cusim::MemcpyKind::kHostToDevice);
     return;
   }
-  const bool aligned =
-      patterned(msg) && nbytes % msg.pattern->block_bytes == 0;
-  if (aligned && !offload) {
+  const SubPattern* g = msg.plan->single_group();
+  if (!offload && g != nullptr && nbytes % g->block == 0) {
     auto& stream = ctx.default_stream();
     submit_pcie_unpack_from_host(ctx, stream, msg, 0, nbytes, host_src)
         .synchronize();
@@ -316,16 +267,9 @@ cusim::Event submit_device_pack(cusim::CudaContext& ctx, cusim::Stream& stream,
                      bytes, cusim::MemcpyKind::kDeviceToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (patterned(msg) && offset % msg.pattern->block_bytes == 0 &&
-      bytes % msg.pattern->block_bytes == 0) {
-    const PatternSlice s = slice_pattern(msg, offset, bytes);
-    ctx.memcpy2d_async(dst_dev, s.block, s.first_block, s.stride, s.block,
-                       s.rows, cusim::MemcpyKind::kDeviceToDevice, stream);
-    return ctx.record_event(stream);
-  }
-  if (subpatterned(msg)) {
+  if (msg.plan->layout() == LayoutClass::kSubPatterned) {
     return submit_subpatterned(ctx, stream, msg, offset, bytes, dst_dev,
-                               true);
+                               true, cusim::MemcpyKind::kDeviceToDevice);
   }
   return submit_generalized(ctx, stream, msg, offset, bytes, dst_dev, true);
 }
@@ -339,16 +283,10 @@ cusim::Event submit_device_unpack(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kDeviceToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (patterned(msg) && offset % msg.pattern->block_bytes == 0 &&
-      bytes % msg.pattern->block_bytes == 0) {
-    const PatternSlice s = slice_pattern(msg, offset, bytes);
-    ctx.memcpy2d_async(s.first_block, s.stride, src_dev, s.block, s.block,
-                       s.rows, cusim::MemcpyKind::kDeviceToDevice, stream);
-    return ctx.record_event(stream);
-  }
-  if (subpatterned(msg)) {
+  if (msg.plan->layout() == LayoutClass::kSubPatterned) {
     return submit_subpatterned(ctx, stream, msg, offset, bytes,
-                               const_cast<std::byte*>(src_dev), false);
+                               const_cast<std::byte*>(src_dev), false,
+                               cusim::MemcpyKind::kDeviceToDevice);
   }
   return submit_generalized(ctx, stream, msg, offset, bytes,
                             const_cast<std::byte*>(src_dev), false);
@@ -364,14 +302,8 @@ cusim::Event submit_pcie_pack_to_host(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kDeviceToHost, stream);
     return ctx.record_event(stream);
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "submit_pcie_pack_to_host: requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, offset, bytes);
-  ctx.memcpy2d_async(host_dst, s.block, s.first_block, s.stride, s.block,
-                     s.rows, cusim::MemcpyKind::kDeviceToHost, stream);
-  return ctx.record_event(stream);
+  return submit_subpatterned(ctx, stream, msg, offset, bytes, host_dst, true,
+                             cusim::MemcpyKind::kDeviceToHost);
 }
 
 cusim::Event submit_pcie_unpack_from_host(cusim::CudaContext& ctx,
@@ -385,14 +317,9 @@ cusim::Event submit_pcie_unpack_from_host(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kHostToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "submit_pcie_unpack_from_host: requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, offset, bytes);
-  ctx.memcpy2d_async(s.first_block, s.stride, host_src, s.block, s.block,
-                     s.rows, cusim::MemcpyKind::kHostToDevice, stream);
-  return ctx.record_event(stream);
+  return submit_subpatterned(ctx, stream, msg, offset, bytes,
+                             const_cast<std::byte*>(host_src), false,
+                             cusim::MemcpyKind::kHostToDevice);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,11 +335,10 @@ struct ChunkShape {
 };
 
 ChunkShape chunk_shape(const MsgView& msg, std::size_t chunk) {
-  if (patterned(msg)) {
-    const std::size_t width = msg.pattern->block_bytes;
-    return {width, std::max<std::size_t>(1, chunk / width)};
+  if (const SubPattern* g = msg.plan->single_group()) {
+    return {g->block, std::max<std::size_t>(1, chunk / g->block)};
   }
-  if (msg.plan && msg.plan->total_segments() > 0 && msg.packed_bytes > 0) {
+  if (msg.plan->total_segments() > 0 && msg.packed_bytes > 0) {
     const auto rows = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                static_cast<double>(msg.plan->total_segments()) *
@@ -448,9 +374,7 @@ sim::SimTime modeled_stage_time(const gpu::GpuCostModel& cost,
   }
   // nc2c2c: device-side pack stage + contiguous PCIe stages.
   sim::SimTime pack;
-  const bool irregular =
-      msg.plan && msg.plan->layout() == LayoutClass::kIrregular;
-  if (irregular) {
+  if (msg.plan->layout() == LayoutClass::kIrregular) {
     // Generalized gather: flat per-run cost, no descriptor amortization.
     pack = cost.d2d_2d_setup_ns + cost.copy_launch_ns +
            static_cast<sim::SimTime>(static_cast<double>(s.rows) *
@@ -488,11 +412,11 @@ std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
 
 bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg) {
   if (msg.contiguous) return false;
-  if (!patterned(msg)) return true;  // PCIe 2-D cannot express the layout
+  const SubPattern* g = msg.plan->single_group();
+  if (g == nullptr) return true;  // PCIe 2-D cannot express the layout
   const std::size_t n_total = msg.packed_bytes;
-  if (n_total == 0) return false;
-  const std::size_t width = msg.pattern->block_bytes;
-  const std::size_t rows = msg.pattern->count;
+  const std::size_t width = g->block;
+  const std::size_t rows = g->rows;
   // Blocking end-to-end comparison (Figure 2): one strided PCIe copy vs
   // device pack followed by a contiguous PCIe copy.
   const sim::SimTime nc2c =

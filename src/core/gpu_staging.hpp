@@ -9,11 +9,13 @@
 //     unpack one packed-stream byte range on a CUDA stream, returning the
 //     cusim::Event that marks its completion.
 //
-// Pattern handling: vector-shaped messages (the paper's scope) map onto
-// cudaMemcpy2DAsync. Arbitrary committed datatypes without a uniform
-// pattern use a generalized device pack kernel (an extension over the
-// paper, which covers vectors only); its duration is modeled with the same
-// per-run D2D costs and its body performs the real byte gather.
+// Layout handling follows the message's pack plan, one kernel per class:
+// a contiguous message (one dense run, at any offset) moves as plain
+// copies; a few canonical strided groups move as one cudaMemcpy2DAsync per
+// group in range — a vector, the paper's scope, is one group; anything
+// more fragmented uses a generalized device pack kernel (an extension over
+// the paper, which covers vectors only), whose duration is modeled with
+// the same per-run D2D costs and whose body performs the real byte gather.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +41,9 @@ enum class PackScheme {
 /// image as device memory (extent-sized; caller provides capacity for
 /// count*extent bytes) and packing is left to the caller — exactly the
 /// "no pack" option programmers used before GPU-aware MPI.
-/// Requires msg.pattern for the strided schemes; a contiguous message
-/// degrades to one plain D2H copy under every scheme.
+/// The strided schemes require a single strided group
+/// (PackPlan::single_group); a contiguous message degrades to one plain
+/// D2H copy under every scheme.
 void stage_to_host(cusim::CudaContext& ctx, PackScheme scheme,
                    const MsgView& msg, std::byte* host_dst);
 
@@ -52,9 +55,8 @@ void stage_from_host(cusim::CudaContext& ctx, PackScheme scheme,
 
 /// Async: pack packed-stream range [offset, offset+bytes) of the
 /// device-resident message into device memory at `dst_dev` (typically
-/// tbuf+offset) on `stream`. Returns the completion event.
-/// When the message has a vector pattern, offset/bytes must be multiples
-/// of the pattern block size (the pipeline guarantees this).
+/// tbuf+offset) on `stream`. Returns the completion event. Any range
+/// works; a boundary that splits a row costs an extra 1-D copy.
 cusim::Event submit_device_pack(cusim::CudaContext& ctx, cusim::Stream& stream,
                                 const MsgView& msg, std::size_t offset,
                                 std::size_t bytes, std::byte* dst_dev);
@@ -67,8 +69,8 @@ cusim::Event submit_device_unpack(cusim::CudaContext& ctx,
                                   const std::byte* src_dev);
 
 /// Async: pack the packed-stream range straight into *host* memory with a
-/// strided PCIe copy (the non-offloaded "D2H nc2c" pipeline variant;
-/// requires msg.pattern or a contiguous message).
+/// strided PCIe copy per group in range (the non-offloaded "D2H nc2c"
+/// pipeline variant; requires a contiguous or kSubPatterned layout).
 cusim::Event submit_pcie_pack_to_host(cusim::CudaContext& ctx,
                                       cusim::Stream& stream,
                                       const MsgView& msg, std::size_t offset,
@@ -84,8 +86,9 @@ cusim::Event submit_pcie_unpack_from_host(cusim::CudaContext& ctx,
                                           const std::byte* host_src);
 
 /// Blocking, any layout: gather the device message's first `nbytes` packed
-/// bytes into host memory. Chooses D2D2H when `offload` (or when the layout
-/// is irregular), D2H nc2c otherwise. Used by the eager path.
+/// bytes into host memory. Chooses D2H nc2c for a single strided group
+/// sliced at a row boundary without `offload`, D2D2H otherwise. Used by the
+/// eager path.
 void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
                        std::byte* host_dst, std::size_t nbytes, bool offload);
 
@@ -95,9 +98,9 @@ void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
                          const std::byte* host_src, std::size_t nbytes,
                          bool offload);
 
-/// Round `chunk` down to a multiple of the message's pattern block size
-/// (minimum one block); returns `chunk` unchanged for pattern-less or
-/// contiguous messages.
+/// Round `chunk` down to a multiple of the block size of a single-group
+/// message (minimum one block); returns `chunk` unchanged for any other
+/// layout.
 std::size_t align_chunk_to_pattern(const MsgView& msg, std::size_t chunk);
 
 // ---------------------------------------------------------------------------
@@ -113,16 +116,16 @@ sim::SimTime modeled_stage_time(const gpu::GpuCostModel& cost,
                                 bool offload);
 
 /// Pipeline chunk size minimizing the §IV-B model (n+2)·T(N/n) over
-/// power-of-two candidates (8 KB .. 1 MB), each aligned to the message's
-/// pattern block. Returns `fallback` when the message is empty.
+/// power-of-two candidates (8 KB .. 1 MB), each aligned as by
+/// align_chunk_to_pattern. Returns `fallback` when the message is empty.
 std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
                                const MsgView& msg, bool offload,
                                std::size_t fallback);
 
 /// Figure-2 scheme choice: true when packing on the device and crossing
 /// PCIe contiguously (nc2c2c) is modeled cheaper than one strided PCIe
-/// copy (nc2c), comparing blocking end-to-end costs. Irregular layouts
-/// (no usable 2-D pattern) always prefer the offload path.
+/// copy (nc2c), comparing blocking end-to-end costs. Layouts other than one
+/// strided group always prefer the offload path.
 bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg);
 
 }  // namespace mv2gnc::core

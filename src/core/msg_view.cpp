@@ -13,24 +13,21 @@ MsgView MsgView::make(void* base, int count, const mpisim::Datatype& dtype,
                            dtype.describe());
   }
   MsgView v;
-  v.base = base;
   v.count = count;
   v.dtype = dtype;
   v.plan = PlanCache::instance().get(dtype, count);
   v.packed_bytes = v.plan->packed_bytes();
-  v.contiguous = dtype.is_contiguous();
+  v.contiguous = v.plan->contiguous();
+  // Every spelling of dense bytes moves as one plain copy from its first
+  // byte.
+  v.base = v.plan->dense_offset() == 0
+               ? base
+               : static_cast<std::byte*>(base) + v.plan->dense_offset();
   if (auto info = registry.query(base)) {
     v.on_device = true;
     v.device_id = info->device_id;
   }
-  v.pattern = v.plan->pattern();
   return v;
-}
-
-std::byte* MsgView::first_segment_ptr() const {
-  const auto& groups = dtype.groups();
-  if (groups.empty()) return static_cast<std::byte*>(base);
-  return static_cast<std::byte*>(base) + groups.front().first_offset;
 }
 
 }  // namespace mv2gnc::core

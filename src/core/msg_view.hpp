@@ -1,12 +1,11 @@
 // MsgView: everything the transfer engine needs to know about one side of
 // a message — base pointer, datatype, element count, and the derived facts
 // that drive protocol selection (device residency, contiguity, packed size,
-// 2-D pattern).
+// and the cached pack plan that classifies the layout).
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "core/pack_plan.hpp"
 #include "gpu/memory_registry.hpp"
@@ -15,24 +14,23 @@
 namespace mv2gnc::core {
 
 struct MsgView {
+  /// Start of the packed stream for a contiguous message (the user buffer
+  /// shifted by the plan's dense offset); the user buffer otherwise.
   void* base = nullptr;
   int count = 0;
   mpisim::Datatype dtype;
 
   bool on_device = false;
   int device_id = -1;
-  bool contiguous = false;            // dense: pack step unnecessary
+  bool contiguous = false;            // one dense run: pack step unnecessary
   std::size_t packed_bytes = 0;       // count * dtype.size()
-  std::optional<mpisim::VectorPattern> pattern;  // across all `count` elems
-  std::shared_ptr<const PackPlan> plan;          // cached transfer plan
+  std::shared_ptr<const PackPlan> plan;  // cached transfer plan
 
   /// Build a view; classifies `base` against `registry` and requires a
-  /// committed datatype (throws std::logic_error otherwise).
+  /// committed datatype (throws std::logic_error otherwise). Always
+  /// attaches a plan.
   static MsgView make(void* base, int count, const mpisim::Datatype& dtype,
                       const gpu::MemoryRegistry& registry);
-
-  /// Address of the first data byte of the packed stream's first segment.
-  std::byte* first_segment_ptr() const;
 };
 
 }  // namespace mv2gnc::core

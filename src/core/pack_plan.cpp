@@ -11,14 +11,19 @@ namespace {
 using mpisim::Datatype;
 using mpisim::PackCursor;
 
-// Expansion bound: beyond this many flattened runs the decomposition is
-// skipped and the layout is classified kIrregular outright (the generalized
-// kernel handles it).
+// Above this many flattened runs only a single strided group is worth
+// lowering to 2-D copies; anything else goes to the generalized kernel.
 constexpr std::size_t kMaxExpandedRuns = std::size_t{1} << 16;
 
 // A decomposition only beats the per-row generalized kernel when each 2-D
 // copy amortizes its launch over enough rows.
 constexpr std::size_t kMinAvgRowsPerSubPattern = 4;
+
+// Most groups a kSubPatterned layout of `runs` runs may have.
+std::size_t group_budget(std::size_t runs) {
+  if (runs > kMaxExpandedRuns) return 1;
+  return std::max<std::size_t>(2, runs / kMinAvgRowsPerSubPattern);
+}
 
 }  // namespace
 
@@ -64,33 +69,19 @@ std::shared_ptr<const PackPlan> PackPlan::build(const Datatype& dtype,
       plan->elem_size_ * static_cast<std::size_t>(std::max(count, 0));
   plan->signature_ = signature_of(dtype);
   plan->total_segments_ = count > 0 ? dtype.total_segments(count) : 0;
-  plan->pattern_ =
-      count > 0 ? dtype.vector_pattern(count) : std::nullopt;
 
-  if (dtype.is_contiguous() || plan->packed_bytes_ == 0) {
+  // The one classification rule, over the message's canonical groups. The
+  // group build stops at the budget, so it never walks every run.
+  const std::size_t budget = group_budget(plan->total_segments_);
+  std::vector<SubPattern> groups = dtype.message_groups(count, budget);
+  if (groups.empty()) {
     plan->layout_ = LayoutClass::kContiguous;
-    return plan;
-  }
-  const bool usable_pattern =
-      plan->pattern_.has_value() && plan->pattern_->stride_bytes > 0 &&
-      static_cast<std::size_t>(plan->pattern_->stride_bytes) >=
-          plan->pattern_->block_bytes;
-  if (usable_pattern) {
-    plan->layout_ = LayoutClass::kSingleVector;
-    const mpisim::VectorPattern& p = *plan->pattern_;
-    plan->subpatterns_.push_back({dtype.groups().front().first_offset,
-                                  p.count, p.block_bytes, p.stride_bytes, 0});
-    return plan;
-  }
-  if (plan->total_segments_ > kMaxExpandedRuns) {
-    plan->layout_ = LayoutClass::kIrregular;
-    return plan;
-  }
-  std::vector<SubPattern> subs = dtype.message_groups(count);
-  if (subs.size() * kMinAvgRowsPerSubPattern <= plan->total_segments_ ||
-      subs.size() <= 2) {
+  } else if (groups.size() == 1 && groups.front().rows == 1) {
+    plan->layout_ = LayoutClass::kContiguous;
+    plan->dense_offset_ = groups.front().first_offset;
+  } else if (groups.size() <= budget) {
     plan->layout_ = LayoutClass::kSubPatterned;
-    plan->subpatterns_ = std::move(subs);
+    plan->subpatterns_ = std::move(groups);
   } else {
     plan->layout_ = LayoutClass::kIrregular;
   }

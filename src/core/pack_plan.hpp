@@ -2,24 +2,21 @@
 // datatypes (the hot-path companion of docs/DATATYPE.md).
 //
 // Every send of a non-trivial datatype used to re-derive the same facts —
-// contiguity, vector pattern, segment counts, chunk boundaries — from the
-// committed type tree. A PackPlan computes them once per canonical
-// (type, count) pair and a process-wide LRU cache (PlanCache) shares the
-// result across sends, ranks and retransmissions:
+// layout class, segment counts, chunk boundaries — from the committed type
+// tree. A PackPlan computes them once per canonical (type, count) pair and
+// a process-wide LRU cache (PlanCache) shares the result across sends,
+// ranks and retransmissions:
 //
-//   * canonicalization: the plan is keyed on the *flattened* layout, so a
-//     contiguous-of-contiguous tree folds into a plain contiguous plan, a
-//     vector-of-vector collapses into one strided-block pattern, and two
+//   * classification: the plan is the one place a layout is classified,
+//     by one rule over the message's canonical strided groups: one dense
+//     run is contiguous (at any offset, however the type spells it), a few
+//     groups are batched 2-D copies, anything else is irregular. Two
 //     structurally identical trees built through different constructor
 //     sequences dedupe onto one plan (signature-level second cache tier);
 //   * chunk cursors: per pipeline-chunk resumable PackCursors plus exact
 //     per-chunk segment counts, so chunked host pack/unpack is O(segments
 //     in range) with zero per-chunk searching, and a retransmitted chunk
-//     reuses the stored plan verbatim;
-//   * sub-pattern decomposition: an irregular layout is taken as the
-//     datatype's canonical maximal uniform (block, stride, rows) groups so
-//     the device path can issue a few batched 2-D copies instead of a
-//     degenerate per-row gather kernel.
+//     reuses the stored plan verbatim.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,10 +39,9 @@ namespace mv2gnc::core {
 /// [packed_offset, packed_offset + rows*block).
 using SubPattern = mpisim::StridedGroup;
 
-/// Shape class of the flattened layout, most to least regular.
+/// Shape class of the flattened layout, one per device kernel.
 enum class LayoutClass {
-  kContiguous,    // one dense run; no pack step needed
-  kSingleVector,  // whole message is one uniform 2-D pattern
+  kContiguous,    // one dense run; plain copies, no pack step
   kSubPatterned,  // a few uniform sub-patterns (batched 2-D copies)
   kIrregular,     // too fragmented; generalized gather kernel
 };
@@ -93,16 +88,21 @@ class PackPlan {
   std::size_t packed_bytes() const { return packed_bytes_; }
   std::int64_t extent() const { return extent_; }
   bool contiguous() const { return layout_ == LayoutClass::kContiguous; }
+  /// Byte offset of a contiguous message's one dense run from the buffer
+  /// base (0 for any other layout).
+  std::int64_t dense_offset() const { return dense_offset_; }
   LayoutClass layout() const { return layout_; }
-  const std::optional<mpisim::VectorPattern>& pattern() const {
-    return pattern_;
-  }
   /// Total contiguous runs across the whole message (memcpy-call count of a
   /// full host pack).
   std::size_t total_segments() const { return total_segments_; }
   /// Uniform sub-patterns covering the full packed stream, in packed-stream
   /// order. Empty for kContiguous and kIrregular.
   const std::vector<SubPattern>& subpatterns() const { return subpatterns_; }
+  /// The sub-pattern of a one-group kSubPatterned layout (one cudaMemcpy2D
+  /// covers the whole message), else nullptr.
+  const SubPattern* single_group() const {
+    return subpatterns_.size() == 1 ? &subpatterns_.front() : nullptr;
+  }
   const mpisim::Datatype& dtype() const { return dtype_; }
 
   /// Exact number of contiguous runs touched by packed-stream range
@@ -125,7 +125,7 @@ class PackPlan {
   std::size_t packed_bytes_ = 0;
   std::int64_t extent_ = 0;
   LayoutClass layout_ = LayoutClass::kIrregular;
-  std::optional<mpisim::VectorPattern> pattern_;
+  std::int64_t dense_offset_ = 0;
   std::size_t total_segments_ = 0;
   std::vector<SubPattern> subpatterns_;
   mpisim::Datatype dtype_;  // pins the committed tree the cursors index

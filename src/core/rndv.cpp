@@ -128,22 +128,8 @@ void sched_release(RankResources& res, std::uint64_t id,
   if (pooled && res.sched != nullptr) res.sched->note_released(id);
 }
 
-bool has_usable_pattern(const MsgView& msg) {
-  return msg.pattern.has_value() && msg.pattern->stride_bytes > 0 &&
-         static_cast<std::size_t>(msg.pattern->stride_bytes) >=
-             msg.pattern->block_bytes;
-}
-
-std::size_t segments_in_range(const MsgView& msg, std::size_t bytes) {
-  const std::size_t total = msg.dtype.total_segments(msg.count);
-  if (msg.packed_bytes == 0) return 0;
-  const double frac =
-      static_cast<double>(bytes) / static_cast<double>(msg.packed_bytes);
-  return static_cast<std::size_t>(static_cast<double>(total) * frac + 0.5);
-}
-
-// Exact memcpy count of chunk i ([off, off+bytes)) from the plan's cursor
-// table; falls back to the legacy proportional estimate without a plan.
+// Exact memcpy count of chunk i ([off, off+bytes)): the plan's cursor
+// table when the chunk is one of its chunks, else a plan range query.
 std::size_t chunk_segments(const MsgView& msg,
                            const PackPlan::ChunkCursors* table, std::size_t i,
                            std::size_t off, std::size_t bytes) {
@@ -152,18 +138,15 @@ std::size_t chunk_segments(const MsgView& msg,
         std::min(table->chunk, msg.plan->packed_bytes() - off);
     if (bytes == expect) return table->segments[i];
   }
-  if (msg.plan && msg.plan->packed_bytes() >= off + bytes) {
-    return msg.plan->segments_in_range(off, bytes);
-  }
-  return segments_in_range(msg, bytes);
+  return msg.plan->segments_in_range(off, bytes);
 }
 
 // Figure-2 scheme choice for a device-resident non-contiguous message.
 bool select_offload(const RankResources& res, const MsgView& msg) {
   const Tunables& tun = *res.tun;
-  // Irregular layouts always take the offload path: there is no single
-  // cudaMemcpy2D that can walk them across PCIe.
-  if (!has_usable_pattern(msg)) return true;
+  // Layouts other than one strided group always take the offload path:
+  // there is no single cudaMemcpy2D that can walk them across PCIe.
+  if (msg.plan->single_group() == nullptr) return true;
   if (tun.scheme_select == SchemeSelect::kTunable) return tun.gpu_offload;
   // Model-driven, with gpu_offload=false kept as a hard ablation override
   // (the paper's nc2c measurement runs).
@@ -283,7 +266,7 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
         select_chunk(res_, msg_,
                      path_ == Path::kDeviceOffload ||
                          path_ == Path::kDeviceIpcOffload));
-    if (path_ == Path::kHostPack && msg_.plan && msg_.packed_bytes > 0) {
+    if (path_ == Path::kHostPack && msg_.packed_bytes > 0) {
       cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
     }
     if (cache != nullptr) {
@@ -1043,7 +1026,7 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
-  if (path_ == Path::kHostUnpack && msg_.plan && msg_.packed_bytes > 0) {
+  if (path_ == Path::kHostUnpack && msg_.packed_bytes > 0) {
     if (cache != nullptr && cache->recv_cursors &&
         cache->recv_chunk == plan_.chunk) {
       cursors_ = cache->recv_cursors;  // same sender chunk: cursors hold

@@ -8,19 +8,17 @@
 //   * a canonical flattened layout: the contiguous runs of one element
 //     (adjacent runs merged) grouped greedily into maximal uniform strided
 //     groups, built compositionally so a strided column of a million
-//     elements commits to one group — the representation both the host
-//     pack path and the GPU offload path consume;
-//   * vector-pattern detection (uniform block length + stride), which is
-//     what lets the GPU path drive cudaMemcpy2D for pack/unpack — exactly
-//     the datatype-processing offload of paper §IV-A;
+//     elements commits to one group — the one layout description both the
+//     host pack path and the GPU offload path consume (a group is exactly
+//     one cudaMemcpy2D, the datatype-processing offload of paper §IV-A);
 //   * full and byte-ranged pack/unpack, the ranged form being what the
 //     64 KB chunked pipeline of §IV-B slices on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,16 +47,6 @@ struct StridedGroup {
 
   std::size_t packed_bytes() const { return rows * block; }
   friend bool operator==(const StridedGroup&, const StridedGroup&) = default;
-};
-
-/// Detected uniform strided layout: `count` blocks of `block_bytes` every
-/// `stride_bytes`. This maps 1:1 onto a cudaMemcpy2D call.
-struct VectorPattern {
-  std::size_t count = 0;
-  std::size_t block_bytes = 0;
-  std::int64_t stride_bytes = 0;
-
-  friend bool operator==(const VectorPattern&, const VectorPattern&) = default;
 };
 
 /// Array storage order for subarray types.
@@ -153,16 +141,18 @@ class Datatype {
   /// commit). Equal run lists give equal group lists and vice versa.
   const std::vector<StridedGroup>& groups() const;
   /// Canonical form of a count-element message, runs that abut across an
-  /// element seam merged (requires commit).
-  std::vector<StridedGroup> message_groups(int count) const;
+  /// element seam merged (requires commit). The build stops once the
+  /// groups provably exceed `budget`: the result is exact when the form
+  /// has at most `budget` groups, else a partial list of more than
+  /// `budget` groups.
+  std::vector<StridedGroup> message_groups(
+      int count,
+      std::size_t budget = std::numeric_limits<std::size_t>::max()) const;
   /// Flattened runs of one element, expanded from groups() (requires
   /// commit). O(runs): for tests and diagnostics, not the send path.
   std::vector<Segment> segments() const;
   /// Number of contiguous runs in `count` elements.
   std::size_t total_segments(int count) const;
-  /// Uniform strided pattern across `count` consecutive elements, if the
-  /// flattened layout is expressible as one (requires commit).
-  std::optional<VectorPattern> vector_pattern(int count) const;
 
   // -- host pack/unpack -----------------------------------------------------
   /// Gather `count` elements starting at `src` into the dense buffer `dst`

@@ -5,9 +5,11 @@
 #include <array>
 #include <vector>
 
+using mv2gnc::core::LayoutClass;
 using mv2gnc::core::MsgView;
 using mv2gnc::gpu::MemoryRegistry;
 using mv2gnc::mpisim::Datatype;
+using mv2gnc::mpisim::StridedGroup;
 
 namespace {
 
@@ -26,8 +28,9 @@ TEST(MsgView, HostContiguous) {
   EXPECT_FALSE(v.on_device);
   EXPECT_TRUE(v.contiguous);
   EXPECT_EQ(v.packed_bytes, 64u);
-  ASSERT_TRUE(v.pattern.has_value());
-  EXPECT_EQ(v.pattern->count, 16u);
+  EXPECT_EQ(v.plan->layout(), LayoutClass::kContiguous);
+  EXPECT_EQ(v.plan->dense_offset(), 0);
+  EXPECT_EQ(v.base, buf.data());
 }
 
 TEST(MsgView, DeviceClassification) {
@@ -40,27 +43,40 @@ TEST(MsgView, DeviceClassification) {
   EXPECT_EQ(v.device_id, 2);
 }
 
-TEST(MsgView, StridedVectorPattern) {
+TEST(MsgView, StridedVectorIsOneGroup) {
   MemoryRegistry reg;
   std::vector<float> buf(1024);
   auto t = committed(Datatype::vector(64, 1, 16, Datatype::float32()));
   auto v = MsgView::make(buf.data(), 1, t, reg);
   EXPECT_FALSE(v.contiguous);
-  ASSERT_TRUE(v.pattern.has_value());
-  EXPECT_EQ(v.pattern->count, 64u);
-  EXPECT_EQ(v.pattern->block_bytes, 4u);
-  EXPECT_EQ(v.pattern->stride_bytes, 64);
+  ASSERT_NE(v.plan->single_group(), nullptr);
+  EXPECT_EQ(*v.plan->single_group(), (StridedGroup{0, 64, 4, 64, 0}));
+  EXPECT_EQ(v.base, buf.data());
 }
 
-TEST(MsgView, FirstSegmentPointer) {
+TEST(MsgView, FirstRunOffsetFromGroups) {
   MemoryRegistry reg;
   std::vector<int> buf(64);
+  // Two strided runs: the group carries the first run's offset and the
+  // view keeps the user base.
   const std::array<int, 2> lens{1, 1};
   const std::array<int, 2> displs{5, 9};
   auto t = committed(Datatype::indexed(lens, displs, Datatype::int32()));
   auto v = MsgView::make(buf.data(), 1, t, reg);
-  EXPECT_EQ(v.first_segment_ptr(),
-            reinterpret_cast<std::byte*>(buf.data()) + 20);
+  ASSERT_NE(v.plan->single_group(), nullptr);
+  EXPECT_EQ(*v.plan->single_group(), (StridedGroup{20, 2, 4, 16, 0}));
+  EXPECT_EQ(v.base, buf.data());
+  // One dense run at byte 20, however spelled: contiguous, and the view's
+  // base is the run's first byte.
+  const std::array<int, 2> dense_lens{1, 2};
+  const std::array<int, 2> dense_displs{5, 6};
+  auto d = committed(
+      Datatype::indexed(dense_lens, dense_displs, Datatype::int32()));
+  auto dv = MsgView::make(buf.data(), 1, d, reg);
+  EXPECT_TRUE(dv.contiguous);
+  EXPECT_EQ(dv.plan->dense_offset(), 20);
+  EXPECT_EQ(dv.base, reinterpret_cast<std::byte*>(buf.data()) + 20);
+  EXPECT_EQ(dv.packed_bytes, 12u);
 }
 
 TEST(MsgView, RequiresCommittedType) {
@@ -85,5 +101,7 @@ TEST(MsgView, ZeroCountHasNoPattern) {
   auto t = committed(Datatype::int32());
   auto v = MsgView::make(buf.data(), 0, t, reg);
   EXPECT_EQ(v.packed_bytes, 0u);
-  EXPECT_FALSE(v.pattern.has_value());
+  EXPECT_TRUE(v.contiguous);
+  EXPECT_TRUE(v.plan->subpatterns().empty());
+  EXPECT_EQ(v.plan->single_group(), nullptr);
 }

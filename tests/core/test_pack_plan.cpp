@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "core/gpu_staging.hpp"
@@ -51,7 +52,8 @@ TEST(PackPlan, ContiguousClassification) {
 TEST(PackPlan, SingleVectorClassification) {
   auto t = committed(Datatype::vector(64, 1, 4, Datatype::int32()));
   auto plan = PackPlan::build(t, 1);
-  EXPECT_EQ(plan->layout(), LayoutClass::kSingleVector);
+  EXPECT_EQ(plan->layout(), LayoutClass::kSubPatterned);
+  ASSERT_NE(plan->single_group(), nullptr);
   ASSERT_EQ(plan->subpatterns().size(), 1u);
   EXPECT_EQ(plan->subpatterns()[0].rows, 64u);
   EXPECT_EQ(plan->subpatterns()[0].block, 4u);
@@ -98,6 +100,51 @@ TEST(PackPlan, SubPatternDecomposition) {
   EXPECT_EQ(b.first_offset, 4096);
   EXPECT_EQ(b.packed_offset, a.packed_bytes());
   EXPECT_EQ(a.packed_bytes() + b.packed_bytes(), plan->packed_bytes());
+}
+
+TEST(PackPlan, DenseRunAtOffsetIsContiguous) {
+  // One dense KB at byte 16, spelled three ways: every spelling is one
+  // contiguous run at that offset, with no 2-D groups.
+  const std::array<int, 1> whole{1024};
+  const std::array<int, 1> row{64};
+  const std::array<int, 1> word{4};
+  const std::array<std::int64_t, 1> at16{16};
+  const std::pair<Datatype, int> spellings[] = {
+      {committed(Datatype::hindexed(whole, at16, Datatype::byte())), 1},
+      {committed(Datatype::hindexed(row, at16, Datatype::byte())), 16},
+      {committed(Datatype::hindexed(word, at16, Datatype::byte())), 256},
+  };
+  for (const auto& [t, count] : spellings) {
+    auto plan = PackPlan::build(t, count);
+    EXPECT_EQ(plan->layout(), LayoutClass::kContiguous) << t.describe();
+    EXPECT_EQ(plan->dense_offset(), 16);
+    EXPECT_EQ(plan->packed_bytes(), 1024u);
+    EXPECT_TRUE(plan->subpatterns().empty());
+  }
+}
+
+TEST(PackPlan, GroupBudgetFollowsRunCount) {
+  // Two strided groups (one per hindexed block of a column): batched 2-D
+  // copies while the message has at most 2^16 runs, irregular above, where
+  // only a single group is lowered to 2-D copies.
+  const auto two_columns = [](int rows) {
+    const std::array<int, 2> lens{1, 1};
+    const std::array<std::int64_t, 2> displs{0, std::int64_t{1} << 24};
+    return committed(Datatype::hindexed(
+        lens, displs, Datatype::vector(rows, 1, 2, Datatype::int32())));
+  };
+  auto small = PackPlan::build(two_columns(4000), 1);
+  EXPECT_EQ(small->layout(), LayoutClass::kSubPatterned);
+  EXPECT_EQ(small->subpatterns().size(), 2u);
+  EXPECT_EQ(small->single_group(), nullptr);
+  auto large = PackPlan::build(two_columns(40000), 1);
+  EXPECT_EQ(large->total_segments(), 80000u);
+  EXPECT_EQ(large->layout(), LayoutClass::kIrregular);
+  auto column = PackPlan::build(
+      committed(Datatype::vector(80000, 1, 2, Datatype::int32())), 1);
+  EXPECT_EQ(column->layout(), LayoutClass::kSubPatterned);
+  ASSERT_NE(column->single_group(), nullptr);
+  EXPECT_EQ(column->single_group()->rows, 80000u);
 }
 
 TEST(PackPlan, DegenerateListStaysIrregular) {

@@ -3,9 +3,12 @@
 // and the paper's (n+2)-stage latency model.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "core/pack_plan.hpp"
 #include "mpi/cluster.hpp"
 
 namespace mpisim = mv2gnc::mpisim;
@@ -94,7 +97,70 @@ std::size_t allocations_made(Context& ctx) {
   return ctx.cuda->device().allocations_made();
 }
 
+// One-way device transfer of a dense 1 MB message, `type` x `count`,
+// starting at byte `disp` of a buffer with 64 more guard bytes after it.
+// Returns the receiver's virtual elapsed time; checks the payload byte for
+// byte and that every byte outside it is untouched.
+sim::SimTime timed_dense_transfer(const Datatype& type, int count,
+                                  std::size_t disp) {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  const std::size_t span = disp + kBytes + 64;
+  const auto sent = [](std::size_t i) {
+    return static_cast<std::byte>((i * 31 + 7) & 0xFF);
+  };
+  constexpr std::byte kGuard{0x5A};
+  sim::SimTime elapsed = 0;
+  Cluster cluster(ClusterConfig{});
+  cluster.run([&](Context& ctx) {
+    auto* dev = static_cast<std::byte*>(ctx.cuda->malloc(span));
+    std::vector<std::byte> host(span, kGuard);
+    if (ctx.rank == 0) {
+      for (std::size_t i = 0; i < span; ++i) host[i] = sent(i);
+    }
+    ctx.cuda->memcpy(dev, host.data(), span);
+    ctx.comm.barrier();
+    if (ctx.rank == 0) {
+      ctx.comm.send(dev, count, type, 1, 0);
+    } else {
+      const sim::SimTime t0 = ctx.engine->now();
+      ctx.comm.recv(dev, count, type, 0, 0);
+      elapsed = ctx.engine->now() - t0;
+      ctx.cuda->memcpy(host.data(), dev, span);
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < span; ++i) {
+        const bool payload = i >= disp && i < disp + kBytes;
+        bad += host[i] != (payload ? sent(i) : kGuard);
+      }
+      EXPECT_EQ(bad, 0u) << type.describe();
+    }
+    ctx.cuda->free(dev);
+  });
+  return elapsed;
+}
+
 }  // namespace
+
+TEST(RndvPipeline, DenseBytesMoveAsContiguousHoweverSpelled) {
+  // 1 MB of dense device bytes at displacement 16, spelled as one block,
+  // 256 blocks of 4 KB and 256K blocks of 4 bytes: each plan is one dense
+  // run at byte 16, and each transfer takes exactly as long as a plain
+  // contiguous 1 MB buffer.
+  const sim::SimTime plain =
+      timed_dense_transfer(committed(Datatype::byte()), 1 << 20, 0);
+  EXPECT_GT(plain, 0);
+  const std::array<std::int64_t, 1> at16{16};
+  const std::array<std::pair<int, int>, 3> spellings{
+      {{1 << 20, 1}, {4096, 256}, {4, 1 << 18}}};
+  for (const auto& [block, count] : spellings) {
+    const std::array<int, 1> len{block};
+    const Datatype t =
+        committed(Datatype::hindexed(len, at16, Datatype::byte()));
+    const auto plan = core::PackPlan::build(t, count);
+    EXPECT_EQ(plan->layout(), core::LayoutClass::kContiguous) << block;
+    EXPECT_EQ(plan->dense_offset(), 16) << block;
+    EXPECT_EQ(timed_dense_transfer(t, count, 16), plain) << block;
+  }
+}
 
 TEST(RndvPipeline, TinyVbufPoolStillCompletes) {
   // Two buffers total: maximal back-pressure, must still drain correctly.

@@ -1,0 +1,16 @@
+# Golden-output check: run BENCH and require its stdout to equal GOLDEN
+# byte for byte. On a mismatch the actual output is written to ACTUAL.
+#
+#   cmake -DBENCH=<binary> -DGOLDEN=<file> -DACTUAL=<file> -P compare.cmake
+execute_process(COMMAND "${BENCH}"
+                OUTPUT_VARIABLE actual
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BENCH} exited with ${rc}")
+endif()
+file(READ "${GOLDEN}" expected)
+if(NOT actual STREQUAL expected)
+  file(WRITE "${ACTUAL}" "${actual}")
+  message(FATAL_ERROR "output differs from the golden file; compare with\n"
+                      "  diff ${GOLDEN} ${ACTUAL}")
+endif()

@@ -13,7 +13,7 @@
 using mv2gnc::mpisim::ArrayOrder;
 using mv2gnc::mpisim::Datatype;
 using mv2gnc::mpisim::Segment;
-using mv2gnc::mpisim::VectorPattern;
+using mv2gnc::mpisim::StridedGroup;
 
 namespace {
 
@@ -365,62 +365,60 @@ TEST(Datatype, ResizedOverridesExtent) {
 
 TEST(DatatypePattern, SimpleVector) {
   auto t = committed(Datatype::vector(64, 1, 16, Datatype::float32()));
-  auto p = t.vector_pattern(1);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(*p, (VectorPattern{64, 4, 64}));
+  const std::vector<StridedGroup> want{{0, 64, 4, 64, 0}};
+  EXPECT_EQ(t.groups(), want);
+  EXPECT_EQ(t.message_groups(1), want);
 }
 
 TEST(DatatypePattern, VectorAcrossMultipleElements) {
   // count=2 elements of a 4-row vector whose seam stride matches.
   auto t = committed(Datatype::hvector(4, 1, 16, Datatype::int32()));
-  // extent = 3*16+4 = 52; seam = (0 + 52) - 48 = 4 != 16 -> no pattern.
-  EXPECT_FALSE(t.vector_pattern(2).has_value());
-  EXPECT_TRUE(t.vector_pattern(1).has_value());
+  // extent = 3*16+4 = 52; seam = (0 + 52) - 48 = 4 != 16: the last row of
+  // element 0 abuts the first of element 1, so the message is no one group.
+  EXPECT_EQ(t.message_groups(1),
+            (std::vector<StridedGroup>{{0, 4, 4, 16, 0}}));
+  EXPECT_EQ(t.message_groups(2),
+            (std::vector<StridedGroup>{
+                {0, 3, 4, 16, 0}, {48, 1, 8, 8, 12}, {68, 3, 4, 16, 20}}));
   // Resize so the seam equals the stride: extent 64.
   auto r = committed(Datatype::resized(t, 0, 64));
-  auto p = r.vector_pattern(2);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(*p, (VectorPattern{8, 4, 16}));
+  EXPECT_EQ(r.message_groups(2),
+            (std::vector<StridedGroup>{{0, 8, 4, 16, 0}}));
 }
 
 TEST(DatatypePattern, ContiguousGivesSingleRowPattern) {
   auto t = committed(Datatype::contiguous(8, Datatype::float64()));
-  auto p = t.vector_pattern(1);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->count, 1u);
-  EXPECT_EQ(p->block_bytes, 64u);
+  EXPECT_EQ(t.groups(), (std::vector<StridedGroup>{{0, 1, 64, 64, 0}}));
 }
 
 TEST(DatatypePattern, ContiguousMultiElementPattern) {
+  // Abutting elements merge: three 16-byte elements are one 48-byte run.
   auto t = committed(Datatype::contiguous(4, Datatype::int32()));
-  auto p = t.vector_pattern(3);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->count, 3u);
-  EXPECT_EQ(p->block_bytes, 16u);
-  EXPECT_EQ(p->stride_bytes, 16);
+  EXPECT_EQ(t.message_groups(3),
+            (std::vector<StridedGroup>{{0, 1, 48, 48, 0}}));
 }
 
 TEST(DatatypePattern, IrregularIndexedHasNoPattern) {
   const std::array<int, 3> lens{1, 1, 1};
   const std::array<int, 3> displs{0, 3, 4};  // non-uniform stride
   auto t = committed(Datatype::indexed(lens, displs, Datatype::int32()));
-  EXPECT_FALSE(t.vector_pattern(1).has_value());
+  EXPECT_EQ(t.groups(), (std::vector<StridedGroup>{{0, 1, 4, 4, 0},
+                                                   {12, 1, 8, 8, 4}}));
 }
 
 TEST(DatatypePattern, UniformIndexedDetected) {
   const std::array<int, 3> lens{2, 2, 2};
   const std::array<int, 3> displs{0, 4, 8};
   auto t = committed(Datatype::indexed(lens, displs, Datatype::int32()));
-  auto p = t.vector_pattern(1);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(*p, (VectorPattern{3, 8, 16}));
+  EXPECT_EQ(t.groups(), (std::vector<StridedGroup>{{0, 3, 8, 16, 0}}));
 }
 
 TEST(DatatypePattern, MixedBlockLengthsRejected) {
   const std::array<int, 2> lens{1, 2};
   const std::array<int, 2> displs{0, 4};
   auto t = committed(Datatype::indexed(lens, displs, Datatype::int32()));
-  EXPECT_FALSE(t.vector_pattern(1).has_value());
+  EXPECT_EQ(t.groups(), (std::vector<StridedGroup>{{0, 1, 4, 4, 0},
+                                                   {16, 1, 8, 8, 4}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,16 +7,15 @@
 // from its groups is checked against what the reference run list implies:
 //   * the groups expand to the reference runs, per element and across a
 //     count-element message, and equal the greedy grouping of those runs;
-//   * total_segments, vector_pattern, the cursor at every chunk boundary,
-//     the plan's LayoutClass, subpatterns and chunk tables, and the host
-//     pack bytes;
+//   * total_segments, the cursor at every chunk boundary, the budgeted
+//     group build, the plan's LayoutClass, dense offset, subpatterns and
+//     chunk tables, and the host pack bytes;
 //   * plan signatures are equal exactly when (size, extent, runs) are.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <memory>
-#include <optional>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -33,7 +32,6 @@ using mv2gnc::mpisim::Datatype;
 using mv2gnc::mpisim::PackCursor;
 using mv2gnc::mpisim::Segment;
 using mv2gnc::mpisim::StridedGroup;
-using mv2gnc::mpisim::VectorPattern;
 
 namespace {
 
@@ -230,35 +228,6 @@ std::size_t oracle_total(const std::vector<Segment>& segs, std::int64_t extent,
              : all;
 }
 
-std::optional<VectorPattern> oracle_pattern(const std::vector<Segment>& segs,
-                                            std::size_t size,
-                                            std::int64_t extent, int count) {
-  if (count <= 0 || segs.empty() || size == 0) return std::nullopt;
-  const std::size_t len = segs[0].length;
-  for (const Segment& s : segs) {
-    if (s.length != len) return std::nullopt;
-  }
-  const std::int64_t intra =
-      segs.size() > 1 ? segs[1].offset - segs[0].offset : 0;
-  for (std::size_t i = 1; i < segs.size(); ++i) {
-    if (segs[i].offset - segs[i - 1].offset != intra) return std::nullopt;
-  }
-  if (count == 1) {
-    if (segs.size() == 1) {
-      return VectorPattern{1, len, static_cast<std::int64_t>(len)};
-    }
-    return VectorPattern{segs.size(), len, intra};
-  }
-  if (segs.size() == 1) {
-    return VectorPattern{static_cast<std::size_t>(count), len, extent};
-  }
-  if ((segs[0].offset + extent) - segs.back().offset != intra) {
-    return std::nullopt;
-  }
-  return VectorPattern{segs.size() * static_cast<std::size_t>(count), len,
-                       intra};
-}
-
 // Cursor at packed offset `pack_offset`: element, run within the element
 // and bytes into that run. `prefix` holds the packed offset of each run.
 PackCursor oracle_cursor(const std::vector<std::size_t>& prefix,
@@ -277,29 +246,22 @@ PackCursor oracle_cursor(const std::vector<std::size_t>& prefix,
 
 struct OraclePlan {
   LayoutClass layout = LayoutClass::kIrregular;
+  std::int64_t dense_offset = 0;
   std::vector<SubPattern> subpatterns;
 };
 
-// The pack-plan classification rules applied to the reference run list.
-OraclePlan oracle_plan(const std::vector<Segment>& segs, std::size_t size,
-                       std::int64_t extent, int count) {
-  const bool contiguous =
-      size == 0 || (segs.size() == 1 && segs[0].offset == 0 &&
-                    segs[0].length == size &&
-                    static_cast<std::int64_t>(size) == extent);
-  if (contiguous || count <= 0) return {LayoutClass::kContiguous, {}};
-  const auto p = oracle_pattern(segs, size, extent, count);
-  if (p && p->stride_bytes > 0 &&
-      static_cast<std::size_t>(p->stride_bytes) >= p->block_bytes) {
-    return {LayoutClass::kSingleVector,
-            {SubPattern{segs.front().offset, p->count, p->block_bytes,
-                        p->stride_bytes, 0}}};
-  }
-  const std::vector<Segment> full = oracle_message_runs(segs, extent, count);
-  if (full.size() > (std::size_t{1} << 16)) return {};
+// The pack-plan classification rule applied to the reference message runs:
+// one dense run is contiguous at its offset; at most max(2, runs/4) groups
+// (one group above 2^16 runs) are batched 2-D copies; else irregular.
+OraclePlan oracle_plan(const std::vector<Segment>& full) {
+  if (full.empty()) return {LayoutClass::kContiguous, 0, {}};
+  if (full.size() == 1) return {LayoutClass::kContiguous, full[0].offset, {}};
+  const std::size_t budget = full.size() > (std::size_t{1} << 16)
+                                 ? 1
+                                 : std::max<std::size_t>(2, full.size() / 4);
   std::vector<SubPattern> subs = oracle_groups(full);
-  if (subs.size() * 4 <= full.size() || subs.size() <= 2) {
-    return {LayoutClass::kSubPatterned, std::move(subs)};
+  if (subs.size() <= budget) {
+    return {LayoutClass::kSubPatterned, 0, std::move(subs)};
   }
   return {};
 }
@@ -466,15 +428,26 @@ void check_against_oracle(const SpecPtr& spec, int count, std::mt19937& rng) {
   // Per-send queries.
   ASSERT_EQ(t.total_segments(count), oracle_total(segs, extent, count));
   ASSERT_EQ(t.total_segments(count), segs.empty() ? 0 : full.size());
-  ASSERT_EQ(t.vector_pattern(count), oracle_pattern(segs, size, extent, count));
+
+  // A budgeted build is exact within its budget and over it otherwise.
+  for (const std::size_t budget :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2},
+        msg.empty() ? 0 : msg.size() - 1, msg.size()}) {
+    const std::vector<StridedGroup> part = t.message_groups(count, budget);
+    if (msg.size() <= budget) {
+      ASSERT_EQ(part, msg) << "budget " << budget;
+    } else {
+      ASSERT_GT(part.size(), budget);
+    }
+  }
 
   // Plan classification and sub-patterns.
   const auto plan = PackPlan::build(t, count);
-  const OraclePlan want = oracle_plan(segs, size, extent, count);
+  const OraclePlan want = oracle_plan(full);
   ASSERT_EQ(plan->layout(), want.layout);
+  ASSERT_EQ(plan->dense_offset(), want.dense_offset);
   ASSERT_EQ(plan->subpatterns(), want.subpatterns);
   ASSERT_EQ(plan->total_segments(), oracle_total(segs, extent, count));
-  ASSERT_EQ(plan->pattern(), oracle_pattern(segs, size, extent, count));
 
   // Cursors at every chunk boundary, and the plan's chunk tables.
   const std::size_t packed = size * static_cast<std::size_t>(count);
@@ -628,9 +601,29 @@ TEST(DatatypeCanonical, HugeStridedColumnCommitsToOneGroup) {
   ASSERT_EQ(t.groups().size(), 1u);
   EXPECT_EQ(t.groups()[0], (StridedGroup{0, std::size_t{1} << 24, 4, 8, 0}));
   EXPECT_EQ(t.total_segments(1), std::size_t{1} << 24);
-  EXPECT_EQ(t.vector_pattern(1),
-            (VectorPattern{std::size_t{1} << 24, 4, 8}));
+  // Above the run cap one group is still a batched 2-D copy.
+  const auto plan = PackPlan::build(t, 1);
+  EXPECT_EQ(plan->layout(), LayoutClass::kSubPatterned);
+  ASSERT_NE(plan->single_group(), nullptr);
+  EXPECT_EQ(*plan->single_group(), t.groups()[0]);
   EXPECT_EQ(t.cursor_at(1, 4 * 1000 + 3), (PackCursor{0, 1000, 3}));
   // The last row of one element abuts the first row of the next.
   EXPECT_EQ(t.total_segments(2), (std::size_t{2} << 24) - 1);
+}
+
+TEST(DatatypeCanonical, BudgetedMessageGroupsStopEarly) {
+  // Alternating 4- and 8-byte runs: every run of a 4M-element message is
+  // its own group, so the full form has 8M groups. A build budgeted at one
+  // group stops after three, and the plan is irregular without building
+  // them all.
+  const std::array<int, 2> lens{1, 2};
+  const std::array<int, 2> displs{0, 4};
+  Datatype t = Datatype::resized(
+      Datatype::indexed(lens, displs, Datatype::int32()), 0, 64);
+  t.commit();
+  constexpr int kCount = 1 << 22;
+  EXPECT_EQ(t.message_groups(kCount, 1).size(), 3u);
+  const auto plan = PackPlan::build(t, kCount);
+  EXPECT_EQ(plan->layout(), LayoutClass::kIrregular);
+  EXPECT_TRUE(plan->subpatterns().empty());
 }
