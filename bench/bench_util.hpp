@@ -30,12 +30,16 @@ inline void run_single_gpu(
   engine.run();
 }
 
-/// Standard benchmark banner.
-inline void banner(const std::string& what, const std::string& paper_ref) {
+inline constexpr const char* kVirtualClock =
+    "virtual time on the simulated C2050/QDR testbed";
+
+/// Standard benchmark banner; `clock` names what the section's times are.
+inline void banner(const std::string& what, const std::string& paper_ref,
+                   const std::string& clock = kVirtualClock) {
   std::cout << "\n######################################################\n"
             << "# " << what << "\n"
             << "# reproduces: " << paper_ref << "\n"
-            << "# (virtual time on the simulated C2050/QDR testbed)\n"
+            << "# (" << clock << ")\n"
             << "######################################################\n";
 }
 

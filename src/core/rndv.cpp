@@ -23,21 +23,30 @@ StagingSlot acquire_slot(VbufPool& pool, cusim::CudaContext& cuda,
     s.from_pool = (s.ptr != nullptr);
     return s;  // ptr may be null: pool exhausted, caller stalls
   }
-  // Oversized chunk (pipelining disabled or giant pattern blocks): one-off
-  // pinned staging buffer (a cudaMallocHost of the full message).
-  return pinned_slot(cuda, bytes);
+  // A chunk larger than a vbuf (the model picks one for every message of
+  // 1 MB or more): the smallest idle spare that fits, else a fresh pinned
+  // buffer of one chunk.
+  const VbufPool::Spare spare = pool.take_spare(bytes);
+  if (spare.ptr == nullptr) return pinned_slot(cuda, bytes);
+  s.ptr = spare.ptr;
+  s.bytes = spare.bytes;
+  s.host_owner = &cuda;
+  return s;
 }
 
 void release_slot(VbufPool& pool, StagingSlot& slot) {
   if (slot.ptr != nullptr) {
-    if (slot.from_pool) pool.release(slot.ptr);
-    else if (slot.host_owner != nullptr) slot.host_owner->free_host(slot.ptr);
-    else if (slot.device_owner != nullptr) slot.device_owner->free(slot.ptr);
+    if (slot.from_pool) {
+      pool.release(slot.ptr);
+    } else if (slot.host_owner != nullptr) {
+      VbufPool::Spare out{slot.ptr, slot.bytes};
+      if (slot.bytes > pool.buffer_bytes()) out = pool.park_spare(out);
+      slot.host_owner->free_host(out.ptr);  // cudaFreeHost(nullptr): no-op
+    } else if (slot.device_owner != nullptr) {
+      slot.device_owner->free(slot.ptr);
+    }
   }
-  slot.ptr = nullptr;
-  slot.from_pool = false;
-  slot.host_owner = nullptr;
-  slot.device_owner = nullptr;
+  slot = StagingSlot{};
 }
 
 // Pinned one-off slot, also used when the pool is empty but progress must
@@ -45,8 +54,13 @@ void release_slot(VbufPool& pool, StagingSlot& slot) {
 StagingSlot pinned_slot(cusim::CudaContext& cuda, std::size_t bytes) {
   StagingSlot s;
   s.ptr = static_cast<std::byte*>(cuda.malloc_host(bytes));
+  s.bytes = bytes;
   s.host_owner = &cuda;
   return s;
+}
+
+void drop_spares(VbufPool& pool, cusim::CudaContext& cuda) {
+  for (const VbufPool::Spare& s : pool.close_spares()) cuda.free_host(s.ptr);
 }
 
 void drop_staging(DeviceStaging& staging, cusim::CudaContext& cuda) {
@@ -100,7 +114,8 @@ void park_staging(RankResources& res, std::byte*& buf) {
 // Scheduler-aware slot acquisition: the QoS/fairness gate rules first
 // (unless `gated` is false — guaranteed-progress slots bypass it), then the
 // pool, with the take accounted against the transfer. Oversized chunks
-// never touch the pool, so they bypass the gate too.
+// never take a vbuf (they stage through a recycled pinned spare), so they
+// bypass the gate too.
 detail::StagingSlot sched_acquire(RankResources& res, std::uint64_t id,
                                   std::size_t bytes, bool gated = true) {
   if (gated && res.sched != nullptr && bytes <= res.vbufs->buffer_bytes() &&

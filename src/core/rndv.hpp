@@ -99,13 +99,16 @@ struct DeviceStaging {
 
 namespace detail {
 
-/// A staging buffer that is either a pooled vbuf or (for oversized chunks,
-/// e.g. with pipelining disabled) a one-off pinned host allocation
-/// (cudaMallocHost equivalent).
+/// A staging buffer: a pooled vbuf, or a pinned host buffer of its own
+/// (cudaMallocHost equivalent). The latter holds a chunk larger than a vbuf
+/// (the model picks such chunks for every message of 1 MB or more), which
+/// returns to the pool's spare list on release, or is a pool-sized fallback
+/// when the pool cannot serve, which is freed on release.
 struct StagingSlot {
   std::byte* ptr = nullptr;
+  std::size_t bytes = 0;  // capacity of a pinned buffer; 0 for a vbuf
   bool from_pool = false;
-  cusim::CudaContext* host_owner = nullptr;  // set for one-off allocations
+  cusim::CudaContext* host_owner = nullptr;  // set for pinned buffers
   /// Set when `ptr` is *device* memory parked in the slot graveyard (an IPC
   /// pack/landing buffer a failed transfer could not free: a queued peer
   /// copy may still reference it). Freed with cudaFree at rank teardown.
@@ -118,6 +121,8 @@ StagingSlot acquire_slot(VbufPool& pool, cusim::CudaContext& cuda,
                          std::size_t bytes);
 void release_slot(VbufPool& pool, StagingSlot& slot);
 StagingSlot pinned_slot(cusim::CudaContext& cuda, std::size_t bytes);
+/// Free the pool's idle spares; later releases free their buffers at once.
+void drop_spares(VbufPool& pool, cusim::CudaContext& cuda);
 /// Free the buffer if idle and clear the record (a holder frees a one-off).
 void drop_staging(DeviceStaging& staging, cusim::CudaContext& cuda);
 

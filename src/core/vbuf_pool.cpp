@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "sim/asan.hpp"
 
 namespace mv2gnc::core {
 
@@ -42,6 +45,42 @@ void VbufPool::release(std::byte* buf) {
   }
   taken_[idx] = false;
   free_.push_back(buf);
+}
+
+VbufPool::Spare VbufPool::take_spare(std::size_t bytes) {
+  const auto it = std::lower_bound(
+      spares_.begin(), spares_.end(), bytes,
+      [](const Spare& s, std::size_t b) { return s.bytes < b; });
+  if (it == spares_.end()) {
+    ++oversized_allocs_;
+    return {};
+  }
+  const Spare s = *it;
+  spares_.erase(it);
+  ++oversized_reuses_;
+  // Idle, it is poisoned: ASan still sees a use after release.
+  ASAN_UNPOISON_MEMORY_REGION(s.ptr, s.bytes);
+  return s;
+}
+
+VbufPool::Spare VbufPool::park_spare(Spare s) {
+  if (max_spares_ == 0) return s;
+  ASAN_POISON_MEMORY_REGION(s.ptr, s.bytes);
+  const auto it = std::upper_bound(
+      spares_.begin(), spares_.end(), s.bytes,
+      [](std::size_t b, const Spare& x) { return b < x.bytes; });
+  spares_.insert(it, s);
+  if (spares_.size() <= max_spares_) return {};
+  const Spare out = spares_.front();
+  spares_.erase(spares_.begin());
+  ASAN_UNPOISON_MEMORY_REGION(out.ptr, out.bytes);
+  return out;
+}
+
+std::vector<VbufPool::Spare> VbufPool::close_spares() {
+  for (const Spare& s : spares_) ASAN_UNPOISON_MEMORY_REGION(s.ptr, s.bytes);
+  max_spares_ = 0;
+  return std::exchange(spares_, {});
 }
 
 std::string VbufPool::audit() const {

@@ -174,6 +174,8 @@ class CudaContext {
   void* malloc_host(std::size_t bytes);
   /// cudaFreeHost.
   void free_host(void* ptr);
+  /// cudaMallocHost buffers not yet freed.
+  std::size_t live_host_allocations() const { return host_allocs_.size(); }
   /// cudaMemset on device memory (blocking).
   void memset(void* dst, int value, std::size_t bytes);
 

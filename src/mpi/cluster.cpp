@@ -216,6 +216,13 @@ std::size_t Cluster::graveyard_slots(int rank) const {
   return comms_[static_cast<std::size_t>(rank)]->graveyard_slots();
 }
 
+const core::VbufPool& Cluster::vbufs(int rank) const {
+  if (rank < 0 || rank >= config_.ranks) {
+    throw std::out_of_range("vbufs: bad rank");
+  }
+  return comms_[static_cast<std::size_t>(rank)]->vbufs();
+}
+
 Cluster::~Cluster() = default;
 
 gpu::Device& Cluster::device(int rank) {

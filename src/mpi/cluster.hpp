@@ -173,6 +173,9 @@ class Cluster {
   /// teardown; they account exactly for any non-zero vbufs_in_use after a
   /// quiesce (pinned one-off parks are excluded).
   std::size_t graveyard_slots(int rank) const;
+  /// One rank's staging pool: vbufs, idle oversized spares and their
+  /// allocation/reuse counters.
+  const core::VbufPool& vbufs(int rank) const;
 
   /// Virtual time at which the last run() finished.
   sim::SimTime elapsed() const { return engine_.now(); }

@@ -80,6 +80,7 @@ RankComm::~RankComm() {
   // write can still reference a surrendered slot.
   for (auto& s : slot_graveyard_) core::detail::release_slot(vbuf_pool_, s);
   slot_graveyard_.clear();
+  core::detail::drop_spares(vbuf_pool_, *res_.cuda);
   core::detail::drop_staging(staging_, *res_.cuda);
   registry_.unregister_pinned_host(vbuf_pool_.arena());
 }

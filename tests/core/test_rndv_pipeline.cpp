@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/pack_plan.hpp"
+#include "core/protocol.hpp"
+#include "core/rndv.hpp"
+#include "core/vbuf_pool.hpp"
 #include "mpi/cluster.hpp"
 
 namespace mpisim = mv2gnc::mpisim;
@@ -462,4 +466,125 @@ TEST(RndvPipeline, ManyConcurrentTransfersShareThePool) {
     ctx.comm.waitall(reqs);
     for (auto* b : bufs) ctx.cuda->free(b);
   });
+}
+
+TEST(RndvPipeline, OversizedSlotsRecycleThroughTheSpareList) {
+  // Chunks larger than a vbuf stage through pinned buffers of their own.
+  // Released, they wait on the pool's spare list for the next chunk that
+  // fits; the list is bounded, and teardown frees every buffer on it.
+  sim::Engine eng;
+  mv2gnc::gpu::MemoryRegistry reg;
+  mv2gnc::gpu::Device dev(eng, reg, 0,
+                          mv2gnc::gpu::GpuCostModel::tesla_c2050(), 1u << 20);
+  mv2gnc::cusim::CudaContext cuda(dev);
+  core::VbufPool pool(4, 64u << 10);
+  constexpr std::size_t kChunk = 128u << 10;
+
+  auto s = core::detail::acquire_slot(pool, cuda, kChunk);
+  std::byte* const first = s.ptr;
+  EXPECT_FALSE(s.from_pool);
+  EXPECT_TRUE(reg.is_pinned_host(first));
+  core::detail::release_slot(pool, s);
+  EXPECT_EQ(pool.idle_spares(), 1u);
+  EXPECT_EQ(cuda.live_host_allocations(), 1u);
+
+  s = core::detail::acquire_slot(pool, cuda, kChunk);
+  EXPECT_EQ(s.ptr, first);
+  EXPECT_EQ(pool.oversized_allocs(), 1u);
+  EXPECT_EQ(pool.oversized_reuses(), 1u);
+  core::detail::release_slot(pool, s);
+
+  // A chunk larger than every spare gets a fresh buffer.
+  s = core::detail::acquire_slot(pool, cuda, 2 * kChunk);
+  EXPECT_NE(s.ptr, first);
+  EXPECT_EQ(pool.oversized_allocs(), 2u);
+  core::detail::release_slot(pool, s);
+  EXPECT_EQ(pool.idle_spares(), 2u);
+
+  // A pool-sized pinned fallback stays a one-off.
+  s = core::detail::pinned_slot(cuda, 64u << 10);
+  core::detail::release_slot(pool, s);
+  EXPECT_EQ(pool.idle_spares(), 2u);
+  EXPECT_EQ(cuda.live_host_allocations(), 2u);
+
+  // More oversized slots released at once than the bound keeps.
+  std::vector<core::detail::StagingSlot> many;
+  for (std::size_t i = 0; i < core::VbufPool::kMaxSpares + 3; ++i) {
+    many.push_back(core::detail::acquire_slot(pool, cuda, kChunk));
+  }
+  std::vector<std::byte*> ptrs;
+  for (auto& m : many) {
+    ptrs.push_back(m.ptr);
+    core::detail::release_slot(pool, m);
+    EXPECT_LE(pool.idle_spares(), core::VbufPool::kMaxSpares);
+  }
+  EXPECT_EQ(pool.idle_spares(), core::VbufPool::kMaxSpares);
+  EXPECT_EQ(cuda.live_host_allocations(), core::VbufPool::kMaxSpares);
+
+  core::detail::drop_spares(pool, cuda);
+  EXPECT_EQ(pool.idle_spares(), 0u);
+  EXPECT_EQ(cuda.live_host_allocations(), 0u);
+  for (std::byte* p : ptrs) EXPECT_FALSE(reg.is_pinned_host(p));
+  EXPECT_FALSE(reg.is_pinned_host(first));
+}
+
+TEST(RndvPipeline, BackToBackLargeSendsReuseOversizedSlots) {
+  // A 1 MB strided device message pipelines in chunks larger than a vbuf.
+  // The second send finds the first one's staging and landing buffers idle
+  // on the spare lists and allocates no pinned host memory.
+  Cluster cluster(ClusterConfig{});
+  cluster.run([&](Context& ctx) {
+    const int rows = 1 << 18;  // 1 MB packed
+    auto col = committed(Datatype::vector(rows, 1, 2, Datatype::float32()));
+    std::byte* dev = column_buffer(ctx, rows, ctx.rank == 0, 17);
+    const core::VbufPool& pool = cluster.vbufs(ctx.rank);
+    std::uint64_t allocs_first = 0;
+    for (int i = 0; i < 2; ++i) {
+      if (ctx.rank == 0) {
+        ctx.comm.send(dev, 1, col, 1, i);
+      } else {
+        ctx.comm.recv(dev, 1, col, 0, i);
+      }
+      ctx.comm.barrier();
+      if (i == 0) allocs_first = pool.oversized_allocs();
+    }
+    EXPECT_GT(allocs_first, 0u) << "rank " << ctx.rank;
+    EXPECT_EQ(pool.oversized_allocs(), allocs_first) << "rank " << ctx.rank;
+    EXPECT_GT(pool.oversized_reuses(), 0u) << "rank " << ctx.rank;
+    EXPECT_LE(pool.idle_spares(), core::VbufPool::kMaxSpares);
+    if (ctx.rank == 1) {
+      EXPECT_EQ(column_mismatches(ctx, dev, rows, 17), 0u);
+    }
+    ctx.cuda->free(dev);
+  });
+}
+
+TEST(RndvPipeline, AbortedReceiveParksOversizedSlots) {
+  // Every chunk fin is lost, so the sender exhausts its retries and aborts
+  // the matched 1 MB receive. The receiver's landing slots (chunks larger
+  // than a vbuf) may still be written by queued duplicates: they go to the
+  // graveyard, not to the spare list.
+  ClusterConfig cfg;
+  cfg.rng_seed = 13;
+  cfg.tunables.rndv_timeout_ns = 200'000;
+  cfg.tunables.rndv_max_retries = 3;
+  mv2gnc::netsim::FaultSpec swallow;
+  swallow.drop_imm = 1.0;
+  cfg.faults.set_kind(core::kChunkFin, swallow);
+  Cluster cluster(cfg);
+  cluster.run([](Context& ctx) {
+    const int n = 1 << 20;
+    auto byte_t = committed(Datatype::byte());
+    auto* dev = static_cast<std::byte*>(ctx.cuda->malloc(n));
+    if (ctx.rank == 0) {
+      EXPECT_THROW(ctx.comm.send(dev, n, byte_t, 1, 0), mpisim::RequestError);
+    } else {
+      EXPECT_THROW(ctx.comm.recv(dev, n, byte_t, 0, 0), mpisim::RequestError);
+    }
+    ctx.cuda->free(dev);
+  });
+  const core::VbufPool& recv_pool = cluster.vbufs(1);
+  EXPECT_GT(recv_pool.oversized_allocs(), 0u);
+  EXPECT_EQ(recv_pool.idle_spares(), 0u);
+  EXPECT_EQ(cluster.vbuf_audit(1), "");
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 using mv2gnc::core::VbufPool;
 
@@ -100,4 +102,51 @@ TEST(VbufPool, AuditIsCleanWhenExhausted) {
 TEST(VbufPool, ZeroSizeRejected) {
   EXPECT_THROW(VbufPool(0, 64), std::invalid_argument);
   EXPECT_THROW(VbufPool(4, 0), std::invalid_argument);
+}
+
+TEST(VbufPool, SpareTakeIsBestFit) {
+  VbufPool pool(2, 64);
+  std::vector<std::byte> a(300), b(100), c(200);
+  for (auto* v : {&a, &b, &c}) {
+    EXPECT_EQ(pool.park_spare({v->data(), v->size()}).ptr, nullptr);
+  }
+  EXPECT_EQ(pool.take_spare(150).ptr, c.data());
+  EXPECT_EQ(pool.take_spare(150).ptr, a.data());
+  EXPECT_EQ(pool.take_spare(150).ptr, nullptr);  // only 100 B left
+  EXPECT_EQ(pool.oversized_reuses(), 2u);
+  EXPECT_EQ(pool.oversized_allocs(), 1u);
+  EXPECT_EQ(pool.take_spare(100).ptr, b.data());
+  EXPECT_EQ(pool.idle_spares(), 0u);
+}
+
+TEST(VbufPool, SpareListKeepsTheLargestUpToTheBound) {
+  VbufPool pool(2, 64);
+  constexpr std::size_t kParked = VbufPool::kMaxSpares + 3;
+  std::vector<std::vector<std::byte>> bufs;
+  for (std::size_t i = 0; i < kParked; ++i) {
+    bufs.emplace_back(128 + (i * 7 % kParked) * 16);
+  }
+  std::vector<std::size_t> freed;
+  for (auto& v : bufs) {
+    const VbufPool::Spare out = pool.park_spare({v.data(), v.size()});
+    if (out.ptr != nullptr) freed.push_back(out.bytes);
+    EXPECT_LE(pool.idle_spares(), VbufPool::kMaxSpares);
+  }
+  EXPECT_EQ(pool.idle_spares(), VbufPool::kMaxSpares);
+  // The three smallest sizes are the ones handed back to be freed.
+  std::sort(freed.begin(), freed.end());
+  EXPECT_EQ(freed, (std::vector<std::size_t>{128, 144, 160}));
+  EXPECT_EQ(pool.close_spares().size(), VbufPool::kMaxSpares);
+}
+
+TEST(VbufPool, ClosedSpareListKeepsNothing) {
+  VbufPool pool(2, 64);
+  std::vector<std::byte> a(256), b(512);
+  pool.park_spare({a.data(), a.size()});
+  const auto all = pool.close_spares();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].ptr, a.data());
+  // A release after close is handed straight back to its owner to free.
+  EXPECT_EQ(pool.park_spare({b.data(), b.size()}).ptr, b.data());
+  EXPECT_EQ(pool.idle_spares(), 0u);
 }

@@ -1,8 +1,10 @@
-# Golden-output check: run BENCH and require its stdout to equal GOLDEN
-# byte for byte. On a mismatch the actual output is written to ACTUAL.
+# Golden-output check: run BENCH (with the optional argument list ARGS)
+# and require its stdout to equal GOLDEN byte for byte. On a mismatch the
+# actual output is written to ACTUAL.
 #
-#   cmake -DBENCH=<binary> -DGOLDEN=<file> -DACTUAL=<file> -P compare.cmake
-execute_process(COMMAND "${BENCH}"
+#   cmake -DBENCH=<binary> [-DARGS=<args>] -DGOLDEN=<file> -DACTUAL=<file>
+#         -P compare.cmake
+execute_process(COMMAND "${BENCH}" ${ARGS}
                 OUTPUT_VARIABLE actual
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
