@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <sstream>
@@ -51,7 +52,9 @@ struct Process {
   ProcState state = ProcState::kReady;
   std::string wait_reason;
   std::function<void()> body;
-  ucontext_t uc{};
+  ucontext_t uc{};       // entry context, used by the first switch in only
+  void* regs[5] = {};    // __builtin_setjmp buffer while switched out
+  bool entered = false;  // switched into at least once (the host always is)
   EhState eh;
   void* map = nullptr;  // guard page + stack; null when it has none
   std::size_t map_bytes = 0;
@@ -86,6 +89,12 @@ struct Process {
     map = nullptr;
   }
 };
+
+// Resumes the fiber whose registers `regs` holds. Out of line because GCC
+// forbids __builtin_longjmp in the function that set the buffer.
+[[noreturn]] __attribute__((noinline)) void jump_into(void** regs) {
+  __builtin_longjmp(regs, 1);
+}
 
 // Completes a switch on the fiber that just got the CPU and records the
 // bounds of the stack it came from (how the host's become known).
@@ -156,7 +165,9 @@ bool Notifier::try_consume() {
 // ---------------------------------------------------------------------------
 
 Engine::Engine()
-    : host_(std::make_unique<detail::Process>()), on_cpu_(host_.get()) {}
+    : host_(std::make_unique<detail::Process>()), on_cpu_(host_.get()) {
+  host_->entered = true;
+}
 
 Engine::~Engine() {
   if (!aborting_) abort_all();
@@ -298,7 +309,16 @@ void Engine::switch_to(detail::Process* to) {
       from->state == detail::ProcState::kFinished ? nullptr : &from->fake_stack,
       to->stack_lo, to->stack_bytes);
 #endif
-  swapcontext(&from->uc, &to->uc);
+  // Only registers are saved and restored: the signal mask and the FP
+  // control words are thread state, shared by every fiber (engine.hpp).
+  // The first switch into a process enters its makecontext'd stack.
+  if (__builtin_setjmp(from->regs) == 0) {
+    if (!to->entered) {
+      to->entered = true;
+      setcontext(&to->uc);
+    }
+    detail::jump_into(to->regs);
+  }
   detail::finish_switch(from, switched_from_);
 }
 
@@ -330,6 +350,9 @@ void Engine::trampoline() {
   p->state = detail::ProcState::kFinished;
   running_ = nullptr;
   switch_to(host_.get());  // never comes back: resume() frees this stack
+  // Returning would end the thread (uc_link is null) and with it the
+  // program, with exit status 0: fail loudly instead.
+  std::abort();
 }
 
 void Engine::run() {

@@ -1,8 +1,8 @@
 // Deterministic discrete-event engine with cooperative processes.
 //
-// A simulated process is a fiber on the thread that calls run(): a ucontext
-// on its own mmap'd stack (8 MB reserved like a thread stack, committed only
-// as touched, freed when the process finishes). Exactly one process runs at
+// A simulated process is a fiber on the thread that calls run(), on its own
+// mmap'd stack (8 MB reserved like a thread stack, committed only as
+// touched, freed when the process finishes). Exactly one process runs at
 // a time, and it gives the CPU back whenever it blocks on virtual time
 // (delay) or on a condition (EventFlag / Notifier / Channel). Between
 // process slices the engine pops the earliest pending event and advances
@@ -11,10 +11,14 @@
 // Scheduling is dispatch-inline: whichever context gives the CPU back (a
 // blocking process, or run() itself) runs the dispatch loop in place —
 // executing due events and switching straight to the next ready process. A
-// hand-off is one user-space swapcontext, with no OS thread, lock or futex
-// involved (see docs/SIMULATION.md). The dispatch order (ready FIFO first,
-// then the earliest event, seq-ordered within a timestamp) is fixed, so
-// virtual timings do not depend on the host.
+// hand-off saves and restores registers only (__builtin_setjmp/longjmp; the
+// first switch into a process is a setcontext onto its makecontext'd
+// stack), with no system call, OS thread, lock or futex involved (see
+// docs/SIMULATION.md). The signal mask and the FP control words are thread
+// state: a switch does not carry them, so every process shares them (nothing
+// in src/ changes either). The dispatch order (ready FIFO first, then the
+// earliest event, seq-ordered within a timestamp) is fixed, so virtual
+// timings do not depend on the host.
 //
 // The payoff is that code written against the simulated CUDA/MPI APIs looks
 // like ordinary blocking code, while the whole run is bit-deterministic:
@@ -59,8 +63,8 @@ class ProcessAborted {};
 
 namespace detail {
 
-/// A process's fiber: its state, stack and saved machine context (defined
-/// in engine.cpp, which alone touches ucontext).
+/// A process's fiber: its state, stack and saved registers (defined in
+/// engine.cpp, which alone touches ucontext and the jump buffers).
 struct Process;
 
 struct ScheduledEvent {

@@ -1,5 +1,9 @@
 // Strided 2-D row copy shared by the cudaMemcpy2D mover and the host pack
-// walk. Widths 1/2/4/8/16 (an int32 column) get an inlined fixed memcpy.
+// walk. The row loop steps a source and a destination offset by their pitch
+// (no per-row index multiply) and copies four rows per step, still one row
+// after another in row order. Widths 1/2/4/8/16 (an int32 column) get an
+// inlined fixed-size memcpy, i.e. one machine-word load and store per row;
+// other widths run the same loop with a runtime-size memcpy.
 #pragma once
 
 #include <cstddef>
@@ -11,9 +15,24 @@ namespace mv2gnc::sim {
 template <std::size_t W>
 void copy_rows_of(std::byte* d, std::ptrdiff_t dp, const std::byte* s,
                   std::ptrdiff_t sp, std::size_t w, std::size_t h) {
-  for (std::size_t r = 0; r < h; ++r) {
-    const auto i = static_cast<std::ptrdiff_t>(r);
-    std::memcpy(d + i * dp, s + i * sp, W != 0 ? W : w);
+  const std::size_t n = W != 0 ? W : w;
+  // Byte offsets of the next row, stepped as integers: a pointer is formed
+  // only for a row that exists, never one past the last (or before the
+  // first, for a negative pitch).
+  std::ptrdiff_t di = 0;
+  std::ptrdiff_t si = 0;
+  for (; h >= 4; h -= 4) {
+    std::memcpy(d + di, s + si, n);
+    std::memcpy(d + di + dp, s + si + sp, n);
+    std::memcpy(d + di + 2 * dp, s + si + 2 * sp, n);
+    std::memcpy(d + di + 3 * dp, s + si + 3 * sp, n);
+    di += 4 * dp;
+    si += 4 * sp;
+  }
+  for (; h != 0; --h) {
+    std::memcpy(d + di, s + si, n);
+    di += dp;
+    si += sp;
   }
 }
 

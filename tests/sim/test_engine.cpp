@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -515,4 +516,132 @@ TEST(Engine, ProcessBlockedInCatchHandlerKeepsItsOwnException) {
   }
   eng.run();
   EXPECT_EQ(seen, (std::vector<std::string>{"from p0", "from p1"}));
+}
+
+TEST(Engine, RingHandOffKeepsEachFibersLocalsAndStack) {
+  // Three processes pass a token round a ring 100k times; every wait()
+  // blocks, so each lap is three fiber switches. After each switch a
+  // process checks that its int and double locals and a pointer into its
+  // own stack are what it left there.
+  constexpr int kProcs = 3;
+  constexpr int kLaps = 100'000;
+  sim::Engine eng;
+  std::vector<std::unique_ptr<sim::Notifier>> turn;
+  for (int i = 0; i < kProcs; ++i) {
+    turn.push_back(std::make_unique<sim::Notifier>(eng));
+  }
+  std::array<int, kProcs> laps{};
+  std::array<int, kProcs> corrupt{};
+  std::array<const int*, kProcs> frame{};
+  for (int id = 0; id < kProcs; ++id) {
+    eng.spawn("ring-" + std::to_string(id), [&, id] {
+      int count = id * 1'000'000;
+      double sum = 0.5 * id;
+      int marker = 7 + id;
+      frame[id] = &marker;  // kept outside the stack, so not re-derived
+      // The last one to start passes the first token: by then every other
+      // process is blocked, so no wait() below finds a token pending.
+      if (id == kProcs - 1) turn[0]->notify();
+      for (int lap = 0; lap < kLaps; ++lap) {
+        turn[id]->wait();
+        if (count != id * 1'000'000 + lap || sum != 0.5 * id + lap ||
+            frame[id] != &marker || marker != 7 + id) {
+          ++corrupt[id];
+        }
+        ++count;
+        sum += 1.0;
+        ++laps[id];
+        turn[(id + 1) % kProcs]->notify();
+      }
+    });
+  }
+  eng.run();
+  for (int id = 0; id < kProcs; ++id) {
+    EXPECT_EQ(laps[id], kLaps) << id;
+    EXPECT_EQ(corrupt[id], 0) << id;
+    EXPECT_NE(frame[id], frame[(id + 1) % kProcs]);
+  }
+}
+
+TEST(Engine, ProcessFirstEnteredAfterThousandsOfSwitchesByOthers) {
+  // Two processes trade the CPU about 10k times before one of them spawns a
+  // third; its first switch in (onto a fresh stack) and every switch after
+  // must leave all three intact.
+  constexpr int kRounds = 5'000;
+  constexpr int kLateRounds = 50;
+  sim::Engine eng;
+  int corrupt = 0;
+  int late_rounds = 0;
+  sim::SimTime late_start = -1;
+  std::array<const double*, 3> frame{};
+  // Each round is one delay(1), during which another process runs.
+  std::function<void(int, int)> body = [&](int id, int rounds) {
+    const double step = 0.25 * (id + 1);
+    double sum = 0.0;
+    frame[id] = &sum;
+    for (int r = 0; r < rounds; ++r) {
+      eng.delay(1);
+      if (sum != step * r || frame[id] != &sum) ++corrupt;
+      sum += step;
+      if (id == 2) ++late_rounds;
+      if (id == 0 && r == kRounds - kLateRounds) {
+        eng.spawn("late", [&] {
+          late_start = eng.now();
+          body(2, kLateRounds);
+        });
+      }
+    }
+  };
+  eng.spawn("early-0", [&] { body(0, kRounds); });
+  eng.spawn("early-1", [&] { body(1, kRounds); });
+  eng.run();
+  EXPECT_EQ(late_start, kRounds - kLateRounds + 1);
+  EXPECT_EQ(late_rounds, kLateRounds);
+  EXPECT_EQ(corrupt, 0);
+  EXPECT_EQ(eng.now(), late_start + kLateRounds);
+}
+
+TEST(Engine, ProcessFinishingWhileOthersAreSuspendedLeavesThemIntact) {
+  // Both waiters are parked inside a switch when the trigger finishes and
+  // its stack is unmapped; a process spawned after that scribbles over a
+  // fresh stack before the waiters resume.
+  constexpr int kWaiters = 2;
+  constexpr int kAfter = 3;
+  sim::Engine eng;
+  sim::EventFlag go(eng);
+  std::array<int, kWaiters> intact{};
+  std::array<const int*, kWaiters> frame{};
+  bool finished = false;
+  for (int id = 0; id < kWaiters; ++id) {
+    eng.spawn("waiter-" + std::to_string(id), [&, id] {
+      int count = 10 + id;
+      double x = 1.5 * (id + 1);
+      std::array<int, 256> local;
+      local.fill(id);
+      frame[id] = local.data();
+      go.wait();
+      for (int r = 0; r < kAfter; ++r) {
+        bool same = count == 10 + id + r && x == 1.5 * (id + 1) + r &&
+                    frame[id] == local.data();
+        for (int v : local) same = same && v == id;
+        intact[id] += same;
+        ++count;
+        x += 1.0;
+        eng.delay(1);
+      }
+    });
+  }
+  eng.spawn("trigger", [&] {
+    go.trigger();
+    eng.spawn("scribbler", [&] {
+      std::array<unsigned char, 64 * 1024> junk;
+      junk.fill(0xee);
+      eng.delay(1);
+      EXPECT_EQ(junk[junk.size() - 1], 0xee);
+    });
+    finished = true;
+  });
+  eng.run();
+  EXPECT_TRUE(finished);
+  for (int id = 0; id < kWaiters; ++id) EXPECT_EQ(intact[id], kAfter) << id;
 }
