@@ -239,58 +239,36 @@ ChunkPlan ChunkPlan::make(std::size_t total, std::size_t chunk) {
 // ===========================================================================
 
 RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
-                   std::uint64_t my_req_id, RndvCache* cache)
+                   std::uint64_t my_req_id)
     : res_(res),
       msg_(std::move(msg)),
       dst_(dst_node),
       req_id_(my_req_id),
       graph_(res.trig),
       timer_(*res.engine) {
-  // The one path input that can change between rounds of a persistent
-  // request is the transport route (failover demotes/restores IPC peers);
-  // the cache is keyed on it so a stale entry falls back to a fresh
-  // derivation.
-  const bool ipc_direct = msg_.on_device && res_.net != nullptr &&
-                          res_.net->device_direct(dst_node);
-  if (cache != nullptr && cache->send_valid && cache->send_ipc == ipc_direct) {
-    // Persistent re-fire: path, chunk table and pack cursors come straight
-    // from the cache — no cost-model calls, no plan lookup.
-    path_ = static_cast<Path>(cache->send_path);
-    plan_ = cache->send_plan;
-    cursors_ = cache->send_cursors;
-    if (res_.trig != nullptr) ++res_.trig->plan_cache_hits;
-  } else {
-    if (msg_.on_device) {
-      if (ipc_direct) {
-        // Intra-node fast path: the peer copy reads device memory directly,
-        // so the whole D2H staging stage drops out (collapsed pipeline).
-        path_ = msg_.contiguous ? Path::kDeviceIpcContig
-                                : Path::kDeviceIpcOffload;
-      } else if (msg_.contiguous) {
-        path_ = Path::kDeviceContig;
-      } else if (select_offload(res_, msg_)) {
-        path_ = Path::kDeviceOffload;
-      } else {
-        path_ = Path::kDevicePcie;
-      }
+  if (msg_.on_device) {
+    if (res_.net != nullptr && res_.net->device_direct(dst_node)) {
+      // Intra-node fast path: the peer copy reads device memory directly,
+      // so the whole D2H staging stage drops out (collapsed pipeline).
+      path_ = msg_.contiguous ? Path::kDeviceIpcContig
+                              : Path::kDeviceIpcOffload;
+    } else if (msg_.contiguous) {
+      path_ = Path::kDeviceContig;
+    } else if (select_offload(res_, msg_)) {
+      path_ = Path::kDeviceOffload;
     } else {
-      path_ = msg_.contiguous ? Path::kHostContig : Path::kHostPack;
+      path_ = Path::kDevicePcie;
     }
-    plan_ = ChunkPlan::make(
-        msg_.packed_bytes,
-        select_chunk(res_, msg_,
-                     path_ == Path::kDeviceOffload ||
-                         path_ == Path::kDeviceIpcOffload));
-    if (path_ == Path::kHostPack && msg_.packed_bytes > 0) {
-      cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
-    }
-    if (cache != nullptr) {
-      cache->send_valid = true;
-      cache->send_ipc = ipc_direct;
-      cache->send_path = static_cast<int>(path_);
-      cache->send_plan = plan_;
-      cache->send_cursors = cursors_;
-    }
+  } else {
+    path_ = msg_.contiguous ? Path::kHostContig : Path::kHostPack;
+  }
+  plan_ = ChunkPlan::make(
+      msg_.packed_bytes,
+      select_chunk(res_, msg_,
+                   path_ == Path::kDeviceOffload ||
+                       path_ == Path::kDeviceIpcOffload));
+  if (path_ == Path::kHostPack && msg_.packed_bytes > 0) {
+    cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
   }
   pack_events_.resize(plan_.count);
   stage_events_.resize(plan_.count);
@@ -353,13 +331,10 @@ void RndvSend::start(std::uint64_t tag_word) {
   }
   post_ctrl(rts_);
   build_graph();
-  if ((path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) &&
-      !data_gate_.valid()) {
+  if (path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) {
     // Offload the whole pack immediately; it overlaps the RTS/CTS
     // handshake ("the sender ... triggers multiple asynchronous memory
     // copies, each of which does a chunk size non-contiguous data pack").
-    // With a stream data gate the packs are deferred to the graph's pack
-    // node instead — they must not read the buffer before the gate fires.
     tbuf_ = acquire_staging(res_, plan_.total);
     for (std::size_t i = 0; i < plan_.count; ++i) {
       pack_events_[i] = submit_device_pack(
@@ -374,24 +349,6 @@ void RndvSend::start(std::uint64_t tag_word) {
 void RndvSend::build_graph() {
   graph_.clear();
   if (res_.trig != nullptr) ++res_.trig->graphs_built;
-  // Gated offload pack: one node that waits for the stream data gate, then
-  // submits every chunk pack. Ungated transfers pack inline in start()
-  // (before the retransmission deadline is armed), exactly as before the
-  // graph existed.
-  if ((path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) &&
-      data_gate_.valid()) {
-    const int pack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-    graph_.add_node(pack, [this] { return data_ready(); },
-                    [this] {
-                      tbuf_ = acquire_staging(res_, plan_.total);
-                      for (std::size_t i = 0; i < plan_.count; ++i) {
-                        pack_events_[i] = submit_device_pack(
-                            *res_.cuda, res_.pack_stream, msg_,
-                            plan_.offset_of(i), plan_.bytes_of(i),
-                            tbuf_ + plan_.offset_of(i));
-                      }
-                    });
-  }
   // Stage frontier: pack (if any) must have completed; a staging slot must
   // be available. Staging runs regardless of CTS — it overlaps the
   // handshake.
@@ -438,15 +395,6 @@ bool RndvSend::stage_gate(std::size_t i) {
       return false;
     }
   }
-  // Stream data gate: the paths whose staging reads the user buffer (PCIe
-  // strided pack, contiguous D2H, host CPU pack) hold until the producing
-  // kernels drain. The offload paths are covered by their pack node above;
-  // the zero-staging paths gate at the RDMA frontier instead.
-  if (data_gate_.valid() && !data_ready() &&
-      (path_ == Path::kDevicePcie || path_ == Path::kDeviceContig ||
-       path_ == Path::kHostPack)) {
-    return false;
-  }
   const bool needs_slot = uses_staging();
   if (needs_slot && !slots_[i].valid()) {
     if (force_pinned_) {
@@ -478,12 +426,6 @@ bool RndvSend::stage_gate(std::size_t i) {
 bool RndvSend::rdma_gate(std::size_t i) {
   if (!stage_submitted_[i]) return false;
   if (stage_events_[i].valid() && !stage_events_[i].query()) return false;
-  // Zero-staging paths RDMA straight out of the user buffer: the stream
-  // data gate holds the write itself (staged paths gated at staging).
-  if (data_gate_.valid() && !data_ready() &&
-      (path_ == Path::kHostContig || path_ == Path::kDeviceIpcContig)) {
-    return false;
-  }
   if (mode_ == CtsMode::kStaged && remote_slots_.empty()) return false;
   return true;
 }
@@ -526,18 +468,6 @@ void RndvSend::handle_timeout() {
     // stale. Fresh deadline, retry budget restored. An RTS_ACK from a
     // receiver that has not posted the matching recv yet lands here too:
     // the handshake is alive, so waiting is not failure.
-    retries_ = 0;
-    arm_timer();
-    return;
-  }
-  if (data_gate_.valid() && !data_ready()) {
-    // Stream-gated transfer waiting on its own compute, not on the peer:
-    // a long-running producer kernel is legal, so the quiet period does
-    // not charge the retry budget. Keep probing with the RTS so the
-    // peer's liveness watchdog stays fed meanwhile.
-    post_ctrl(rts_);
-    if (res_.retries != nullptr) ++res_.retries->rts_retransmits;
-    trace_event("fault_rts_retransmit");
     retries_ = 0;
     arm_timer();
     return;
@@ -989,7 +919,7 @@ void RndvSend::abandon(const std::string& reason) {
 RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
                    std::uint64_t sender_req, std::uint64_t my_req_id,
                    std::size_t incoming_bytes, std::size_t sender_chunk,
-                   const std::byte* rget_src, RndvCache* cache)
+                   const std::byte* rget_src)
     : res_(res),
       msg_(std::move(msg)),
       src_(src_node),
@@ -999,59 +929,32 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
       rget_src_(rget_src),
       timer_(*res.engine) {
   const Tunables& tun = *res_.tun;
-  // Path inputs that may change between persistent rounds: the transport
-  // route (failover) and the sender's per-round RGET advertisement. The
-  // cache is keyed on both; the chunk table stays sender-driven (below).
-  const bool rget_path = tun.rget && rget_src_ != nullptr &&
-                         !msg_.on_device && msg_.contiguous;
-  const bool ipc_direct = !rget_path && msg_.on_device &&
-                          res_.net != nullptr &&
-                          res_.net->device_direct(src_node);
-  if (cache != nullptr && cache->recv_valid &&
-      cache->recv_ipc == ipc_direct && cache->recv_rget == rget_path) {
-    path_ = static_cast<Path>(cache->recv_path);
-    if (res_.trig != nullptr) ++res_.trig->plan_cache_hits;
-  } else {
-    if (rget_path) {
-      path_ = Path::kHostRget;
-    } else if (ipc_direct) {
-      // Co-located sender with a peer-copy-capable transport: the payload
-      // lands in device memory directly (user buffer when contiguous, a
-      // device-side reassembly buffer otherwise). No host staging window.
-      path_ = msg_.contiguous ? Path::kDeviceIpcDirect
-                              : Path::kDeviceIpcOffload;
-    } else if (msg_.on_device) {
-      if (msg_.contiguous) {
-        path_ = Path::kDeviceContig;
-      } else if (select_offload(res_, msg_)) {
-        path_ = Path::kDeviceOffload;
-      } else {
-        path_ = Path::kDevicePcie;
-      }
+  if (tun.rget && rget_src_ != nullptr && !msg_.on_device &&
+      msg_.contiguous) {
+    path_ = Path::kHostRget;
+  } else if (msg_.on_device && res_.net != nullptr &&
+             res_.net->device_direct(src_node)) {
+    // Co-located sender with a peer-copy-capable transport: the payload
+    // lands in device memory directly (user buffer when contiguous, a
+    // device-side reassembly buffer otherwise). No host staging window.
+    path_ = msg_.contiguous ? Path::kDeviceIpcDirect
+                            : Path::kDeviceIpcOffload;
+  } else if (msg_.on_device) {
+    if (msg_.contiguous) {
+      path_ = Path::kDeviceContig;
+    } else if (select_offload(res_, msg_)) {
+      path_ = Path::kDeviceOffload;
     } else {
-      path_ = msg_.contiguous ? Path::kHostDirect : Path::kHostUnpack;
+      path_ = Path::kDevicePcie;
     }
-    if (cache != nullptr) {
-      cache->recv_valid = true;
-      cache->recv_ipc = ipc_direct;
-      cache->recv_rget = rget_path;
-      cache->recv_path = static_cast<int>(path_);
-    }
+  } else {
+    path_ = msg_.contiguous ? Path::kHostDirect : Path::kHostUnpack;
   }
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
   if (path_ == Path::kHostUnpack && msg_.packed_bytes > 0) {
-    if (cache != nullptr && cache->recv_cursors &&
-        cache->recv_chunk == plan_.chunk) {
-      cursors_ = cache->recv_cursors;  // same sender chunk: cursors hold
-    } else {
-      cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
-      if (cache != nullptr) {
-        cache->recv_chunk = plan_.chunk;
-        cache->recv_cursors = cursors_;
-      }
-    }
+    cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
   }
   chunks_.resize(plan_.count);
   acks_.resize(plan_.count);

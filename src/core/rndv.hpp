@@ -187,30 +187,6 @@ struct ChunkPlan {
   static ChunkPlan make(std::size_t total, std::size_t chunk);
 };
 
-/// Persistent-request plan cache (docs/STREAMS.md): the path decision,
-/// chunk geometry and pack cursors a transfer derived once, stored so the
-/// next start() of the same frozen argument list re-fires them without
-/// plan lookup or cost-model calls. The cache is validated against the
-/// inputs that can legitimately change between rounds (transport failover
-/// flips device_direct; the sender's RTS dictates the receiver's chunk) —
-/// a mismatch falls back to a fresh derivation and refills the entry.
-/// Owned by the PersistentRequest; transfers hold a non-owning pointer.
-struct RndvCache {
-  // Sender side.
-  bool send_valid = false;
-  bool send_ipc = false;  // device_direct(dst) held when the entry was filled
-  int send_path = 0;
-  ChunkPlan send_plan;
-  std::shared_ptr<const PackPlan::ChunkCursors> send_cursors;
-  // Receiver side.
-  bool recv_valid = false;
-  bool recv_ipc = false;
-  bool recv_rget = false;
-  int recv_path = 0;
-  std::size_t recv_chunk = 0;  // sender chunk the cursors were cut for
-  std::shared_ptr<const PackPlan::ChunkCursors> recv_cursors;
-};
-
 /// Sender-side state machine. Drive with on_*() from the progress engine
 /// and call advance() after every event; done() flips once every chunk has
 /// been acknowledged by the receiver (or the RGET done arrived), failed()
@@ -224,17 +200,10 @@ struct RndvCache {
 class RndvSend {
  public:
   RndvSend(RankResources& res, MsgView msg, int dst_node,
-           std::uint64_t my_req_id, RndvCache* cache = nullptr);
+           std::uint64_t my_req_id);
   ~RndvSend();
   RndvSend(const RndvSend&) = delete;
   RndvSend& operator=(const RndvSend&) = delete;
-
-  /// Stream-triggered mode: gate the data-touching stages on `gate` (an
-  /// event recorded on the application stream behind the kernels that
-  /// produce the send buffer). The RTS still leaves immediately — the
-  /// handshake overlaps the compute — but no byte of the user buffer is
-  /// read before the gate fires. Call before start().
-  void set_data_gate(cusim::Event gate) { data_gate_ = std::move(gate); }
 
   /// Send the RTS and (device path) start packing immediately — packing
   /// overlaps the handshake, as in Figure 3. Arms the retransmission
@@ -299,20 +268,16 @@ class RndvSend {
            path_ != Path::kDeviceIpcContig;
   }
 
-  /// Declare the trigger chains (pack gate -> stage frontier -> RDMA
-  /// frontier); advance() then only fires the graph.
+  /// Declare the trigger chains (stage frontier -> RDMA frontier);
+  /// advance() then only fires the graph.
   void build_graph();
-  /// Dependency gate of stage node i: depth cap, pack completion, data
-  /// gate, staging-slot acquisition (the acquisition is the side effect
-  /// that historically lived in the advance() loop body).
+  /// Dependency gate of stage node i: depth cap, pack completion,
+  /// staging-slot acquisition (the acquisition is the side effect that
+  /// historically lived in the advance() loop body).
   bool stage_gate(std::size_t i);
-  /// Dependency gate of RDMA node i: chunk staged, D2H drained, data gate
-  /// (zero-staging paths), landing address available.
+  /// Dependency gate of RDMA node i: chunk staged, D2H drained, landing
+  /// address available.
   bool rdma_gate(std::size_t i);
-  /// True once the stream data gate (if any) has fired.
-  bool data_ready() const {
-    return !data_gate_.valid() || data_gate_.query();
-  }
   void submit_stage(std::size_t i);
   void post_chunk_rdma(std::size_t i, bool retransmit);
   /// Stamp, census-count, piggyback pending credits for dst_, then post.
@@ -336,11 +301,9 @@ class RndvSend {
   std::uint64_t req_id_;
   Path path_;
   ChunkPlan plan_;
-  /// Precomputed per-chunk resumable cursors (kHostPack); shared with the
-  /// plan cache, so retransmissions and repeated sends reuse them verbatim.
+  /// Precomputed per-chunk resumable cursors (kHostPack), so
+  /// retransmissions reuse them verbatim.
   std::shared_ptr<const PackPlan::ChunkCursors> cursors_;
-  /// Stream data gate (invalid unless set_data_gate was called).
-  cusim::Event data_gate_;
   /// The stage/RDMA dependency graph; rebuilt per transfer, fired by
   /// advance().
   TriggerGraph graph_;
@@ -404,7 +367,7 @@ class RndvRecv {
   RndvRecv(RankResources& res, MsgView msg, int src_node,
            std::uint64_t sender_req, std::uint64_t my_req_id,
            std::size_t incoming_bytes, std::size_t sender_chunk,
-           const std::byte* rget_src = nullptr, RndvCache* cache = nullptr);
+           const std::byte* rget_src = nullptr);
   ~RndvRecv();
   RndvRecv(const RndvRecv&) = delete;
   RndvRecv& operator=(const RndvRecv&) = delete;

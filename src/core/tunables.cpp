@@ -189,21 +189,6 @@ const char* route_select_name(RouteSelect r) {
   return "dmodk";
 }
 
-TriggerMode parse_trigger_mode(const std::string& v) {
-  if (v == "polled") return TriggerMode::kPolled;
-  if (v == "stream") return TriggerMode::kStream;
-  throw std::invalid_argument(
-      "tunables: trigger_mode must be 'polled' or 'stream', got: " + v);
-}
-
-const char* trigger_mode_name(TriggerMode m) {
-  switch (m) {
-    case TriggerMode::kPolled: return "polled";
-    case TriggerMode::kStream: return "stream";
-  }
-  return "polled";
-}
-
 const char* sched_policy_name(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kFifo: return "fifo";
@@ -257,8 +242,6 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "coll_device") t.coll_device = parse_coll_device(value);
       else if (key == "coll_slice_bytes") t.coll_slice_bytes = std::stoull(value);
       else if (key == "route_select") t.route_select = parse_route_select(value);
-      else if (key == "trigger_mode") t.trigger_mode = parse_trigger_mode(value);
-      else if (key == "persistent_plan_cache") t.persistent_plan_cache = parse_bool(value, key);
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
       else if (key == "ecn_restore_chunks") t.ecn_restore_chunks = std::stoull(value);
       else if (key == "vbuf_reserve_per_transfer") t.vbuf_reserve_per_transfer = std::stoull(value);
@@ -322,9 +305,6 @@ std::string Tunables::to_config_string() const {
      << "coll_device = " << coll_device_name(coll_device) << "\n"
      << "coll_slice_bytes = " << coll_slice_bytes << "\n"
      << "route_select = " << route_select_name(route_select) << "\n"
-     << "trigger_mode = " << trigger_mode_name(trigger_mode) << "\n"
-     << "persistent_plan_cache = "
-     << (persistent_plan_cache ? "true" : "false") << "\n"
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
      << "ecn_restore_chunks = " << ecn_restore_chunks << "\n"
      << "vbuf_reserve_per_transfer = " << vbuf_reserve_per_transfer << "\n"

@@ -11,14 +11,10 @@
 //   pipelined  the vector is cut into slices; slice k's D2H (coll_d2h_
 //              stream) overlaps slice k-1's wire leg, whose folds run as
 //              device reduction kernels (coll_red_), while slice k-2's
-//              write-back drains on coll_h2d_. Sequencing uses the stream
-//              primitives: record_event data gates let the RTS of a slice's
-//              first send leave while its D2H is still in flight
-//              (trigger_mode = stream), stream_wait_flag holds the
-//              pre-enqueued write-back until the wire leg lands, and a
-//              launch_host_trigger marks the drain of the pipeline. Under
-//              trigger_mode = polled the same schedule synchronizes
-//              point-wise and is byte-identical.
+//              write-back drains on coll_h2d_. The host sequences the
+//              slices: it synchronizes each slice's D2H event before the
+//              wire leg, enqueues the write-back after it, and a
+//              launch_host_trigger marks the drain of the pipeline.
 //
 // At rpn > 1 the two-level pipelined allreduce keeps the intra-node
 // reduce-scatter / allgather rings entirely device-resident: co-located
@@ -246,7 +242,7 @@ bool CollEngine::device_pipeline_wins(std::size_t bytes, int p) const {
 void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
                                    const std::vector<int>& ranks, int me,
                                    double* data, int count, bool take_max,
-                                   int slice, cusim::Event* gate) {
+                                   int slice) {
   static const Datatype double_t = committed_double();
   const int p = static_cast<int>(ranks.size());
   if (p <= 1) return;
@@ -258,45 +254,21 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
   int pof2 = 1;
   while (pof2 * 2 <= p) pof2 *= 2;
   const int rem = p - pof2;
-  // The slice's D2H gate rides the first send's data stages (the RTS still
-  // leaves immediately); any fold that writes the slot before a send
-  // consumed the gate must synchronize it explicitly.
-  bool gate_pending = gate != nullptr;
-  auto gated_send = [&](const double* buf, int cnt, int dst, int tag) {
-    op.bytes_sent += sizeof(double) * static_cast<std::size_t>(cnt);
-    Request r;
-    if (gate_pending) {
-      XferOpts opts;
-      opts.data_gate = *gate;
-      r = comm_.isend(buf, cnt, double_t, dst, tag, g.context, opts);
-      gate_pending = false;
-    } else {
-      r = comm_.isend(buf, cnt, double_t, dst, tag, g.context);
-    }
-    inflight_.push_back(r);
-    return r;
-  };
-  auto fold_at = [&](int off, int cnt) {
-    if (gate_pending) {
-      gate->synchronize();
-      gate_pending = false;
-    }
-    device_fold(op, data + off, tmp + off, cnt, take_max);
-  };
   // Non-power-of-two pre-pairing: evens hand their whole slice to the odd
   // neighbour and rejoin after the allgather (the MPICH shape).
   const int tpair = kTagDevArPair - slice * 2;
   int newrank;
   if (me < 2 * rem) {
     if (me % 2 == 0) {
-      Request s = gated_send(data, count, world_of(me + 1), tpair - 0);
+      Request s = isend_counted(op, data, count, double_t, world_of(me + 1),
+                                tpair - 0, g.context);
       cwait(s);
       newrank = -1;
     } else {
       Request r = irecv_track(tmp, count, double_t, world_of(me - 1),
                               tpair - 0, g.context);
       cwait(r);
-      fold_at(0, count);
+      device_fold(op, data, tmp, count, take_max);
       newrank = me / 2;
     }
   } else {
@@ -312,10 +284,11 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       const int dst = world_of(dst_idx);
       const int tag = kTagDevArRd - (slice * kDevStride + round);
       Request rr = irecv_track(tmp, count, double_t, dst, tag, g.context);
-      Request sr = gated_send(data, count, dst, tag);
+      Request sr =
+          isend_counted(op, data, count, double_t, dst, tag, g.context);
       cwait(sr);
       cwait(rr);
-      fold_at(0, count);
+      device_fold(op, data, tmp, count, take_max);
     }
   } else if (newrank >= 0) {
     // Rabenseifner: recursive-halving reduce-scatter, then the same
@@ -353,10 +326,11 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       const int tag = kTagDevArRd - (slice * kDevStride + round);
       Request rr =
           irecv_track(tmp + koff, kcnt, double_t, dst, tag, g.context);
-      Request sr = gated_send(data + soff, scnt, dst, tag);
+      Request sr = isend_counted(op, data + soff, scnt, double_t, dst, tag,
+                                 g.context);
       cwait(sr);
       cwait(rr);
-      fold_at(koff, kcnt);
+      device_fold(op, data + koff, tmp + koff, kcnt, take_max);
       replay.push_back({dst, half, lower});
       if (lower) {
         whi = wlo + half;
@@ -380,7 +354,8 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       const int tag = kTagDevArRd - (slice * kDevStride + round);
       Request rr =
           irecv_track(data + roff, rcnt, double_t, hr.dst, tag, g.context);
-      Request sr = gated_send(data + soff, scnt, hr.dst, tag);
+      Request sr = isend_counted(op, data + soff, scnt, double_t, hr.dst,
+                                 tag, g.context);
       cwait(sr);
       cwait(rr);
       olo = std::min(olo, plo);
@@ -394,7 +369,8 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
                               tpair - 1, g.context);
       cwait(r);
     } else {
-      Request s = gated_send(data, count, world_of(me - 1), tpair - 1);
+      Request s = isend_counted(op, data, count, double_t, world_of(me - 1),
+                                tpair - 1, g.context);
       cwait(s);
     }
   }
@@ -409,8 +385,6 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   ensure_coll_streams();
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
-  const bool stream_mode =
-      comm_.tunables().trigger_mode == core::TriggerMode::kStream;
   const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
   const std::size_t slice_bytes = pick_slice_bytes(total, p);
   const int sc = static_cast<int>(slice_bytes / sizeof(double));
@@ -420,25 +394,10 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   struct SliceState {
     core::detail::StagingSlot* slot = nullptr;
     cusim::Event d2h;
-    std::shared_ptr<cusim::HostFlag> h2d_release;
     int off = 0;
     int len = 0;
   };
   std::vector<SliceState> sl(static_cast<std::size_t>(S));
-  // If the pipeline aborts, release every armed write-back flag on unwind:
-  // a permanently blocked coll_h2d_ stream would wedge later collectives
-  // and teardown. The released copies read parked scratch slots (kept live
-  // precisely for this) and write the caller's recvbuf — undefined content
-  // of a failed collective.
-  struct FlagDrain {
-    std::vector<SliceState>* sl;
-    ~FlagDrain() {
-      for (SliceState& s : *sl) {
-        if (s.h2d_release && !s.h2d_release->is_set()) s.h2d_release->trigger();
-      }
-    }
-  } flag_drain{&sl};
-
   auto post_d2h = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
     s.off = k * sc;
@@ -452,19 +411,6 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     op.device_stage_ns +=
         hints_.copy_launch_ns +
         static_cast<sim::SimTime>(static_cast<double>(b) / hints_.d2h_bw);
-    if (stream_mode) {
-      // A send gated on s.d2h is re-driven by the progress loop, not by
-      // the event completing — wake the loop the moment the copy drains,
-      // or the gated send sleeps until its retry timer (and charges a
-      // spurious timeout).
-      ctx.launch_host_trigger(coll_d2h_, [this] { comm_.wake_progress(); });
-      // Pre-enqueue the write-back in stream order behind a wait flag; the
-      // wire leg's completion releases it (cuStreamWaitValue idiom).
-      s.h2d_release = std::make_shared<cusim::HostFlag>();
-      ctx.stream_wait_flag(coll_h2d_, s.h2d_release);
-      ctx.memcpy_async(dev + s.off, s.slot->ptr, b,
-                       cusim::MemcpyKind::kHostToDevice, coll_h2d_);
-    }
   };
 
   constexpr int kPrefetch = 2;  // D2H slices posted ahead of the wire leg
@@ -475,19 +421,10 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     double* host = reinterpret_cast<double*>(s.slot->ptr);
     const std::size_t b = sizeof(double) * static_cast<std::size_t>(s.len);
     const sim::SimTime wire_t0 = eng.now();
-    if (stream_mode) {
-      cusim::Event data_gate = s.d2h;
-      device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, &data_gate);
-      // Degenerate butterflies may not have consumed the gate; the
-      // write-back below must still see the D2H drained.
-      if (!s.d2h.query()) s.d2h.synchronize();
-      s.h2d_release->trigger();
-    } else {
-      s.d2h.synchronize();
-      device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, nullptr);
-      ctx.memcpy_async(dev + s.off, host, b,
-                       cusim::MemcpyKind::kHostToDevice, coll_h2d_);
-    }
+    s.d2h.synchronize();
+    device_slice_wire(op, g, ranks, me, host, s.len, take_max, k);
+    ctx.memcpy_async(dev + s.off, host, b, cusim::MemcpyKind::kHostToDevice,
+                     coll_h2d_);
     op.device_stage_ns += eng.now() - wire_t0;
     op.device_stage_ns +=
         hints_.copy_launch_ns +

@@ -105,19 +105,21 @@ Request Communicator::isend_on(cusim::Stream& stream, const void* buf,
                                int tag) {
   check_user_tag(tag, "isend_on");
   ++impl().api_stats().isend;
-  return impl().isend_on(stream, buf, count, dtype,
-                         checked_peer(group(), dst, "isend_on"), tag,
-                         group().context);
+  const int world_dst = checked_peer(group(), dst, "isend_on");
+  // The host drives the pipeline: drain the producing stream work, then
+  // post exactly as a plain isend.
+  stream.synchronize();
+  return impl().isend(buf, count, dtype, world_dst, tag, group().context);
 }
 
-Request Communicator::irecv_on(cusim::Stream& stream, void* buf, int count,
-                               const Datatype& dtype, int src, int tag) {
+Request Communicator::irecv_on(cusim::Stream& /*stream*/, void* buf,
+                               int count, const Datatype& dtype, int src,
+                               int tag) {
   if (tag != kAnyTag) check_user_tag(tag, "irecv_on");
   ++impl().api_stats().irecv;
   const int world_src =
       (src == kAnySource) ? kAnySource : checked_peer(group(), src, "irecv_on");
-  return impl().irecv_on(stream, buf, count, dtype, world_src, tag,
-                         group().context);
+  return impl().irecv(buf, count, dtype, world_src, tag, group().context);
 }
 
 void Communicator::wait(Request& req, Status* status) {
@@ -171,32 +173,6 @@ struct PersistentRequest::Init {
   Communicator comm;
   Request active;
   bool in_flight = false;
-
-  // -- persistent plan cache (persistent_plan_cache, docs/STREAMS.md) ----
-  /// The frozen argument list's message view, built on the first start():
-  /// its pack plan is resolved once and every re-fire reuses it.
-  bool primed = false;
-  core::MsgView view;
-  /// Rendezvous path decision + chunk table + pack cursors, refilled only
-  /// when the inputs they were derived from change (e.g. a transport
-  /// failover flips the IPC route).
-  core::RndvCache cache;
-
-  /// Fill `opts` with the cached view/plan when the tunable is on.
-  detail::XferOpts cached_opts() {
-    detail::RankComm& rc = comm.impl();
-    detail::XferOpts opts;
-    if (rc.tunables().persistent_plan_cache) {
-      if (!primed) {
-        view = core::MsgView::make(buf, count, dtype, rc.memory_registry());
-        primed = true;
-      }
-      opts.view = &view;
-      opts.cache = &cache;
-      ++rc.trigger_stats().persistent_starts;
-    }
-    return opts;
-  }
 };
 
 void PersistentRequest::start() {
@@ -207,47 +183,28 @@ void PersistentRequest::start() {
         "PersistentRequest::start: previous round not completed");
   }
   detail::RankComm& rc = s.comm.impl();
-  const detail::XferOpts opts = s.cached_opts();
   const int ctx = s.comm.group().context;
   if (s.is_send) {
     ++rc.api_stats().isend;
     s.active = rc.isend(s.buf, s.count, s.dtype,
                         checked_peer(s.comm.group(), s.peer, "start"), s.tag,
-                        ctx, opts);
+                        ctx);
   } else {
     ++rc.api_stats().irecv;
     const int world_src = (s.peer == kAnySource)
                               ? kAnySource
                               : checked_peer(s.comm.group(), s.peer, "start");
-    s.active = rc.irecv(s.buf, s.count, s.dtype, world_src, s.tag, ctx, opts);
+    s.active = rc.irecv(s.buf, s.count, s.dtype, world_src, s.tag, ctx);
   }
   s.in_flight = true;
 }
 
 void PersistentRequest::start_on(cusim::Stream& stream) {
   if (!impl_) throw std::logic_error("start_on() on null PersistentRequest");
-  Init& s = *impl_;
-  if (s.in_flight) {
-    throw std::logic_error(
-        "PersistentRequest::start: previous round not completed");
-  }
-  detail::RankComm& rc = s.comm.impl();
-  detail::XferOpts opts = s.cached_opts();
-  const int ctx = s.comm.group().context;
-  if (s.is_send) {
-    ++rc.api_stats().isend;
-    s.active = rc.isend_on(stream, s.buf, s.count, s.dtype,
-                           checked_peer(s.comm.group(), s.peer, "start_on"),
-                           s.tag, ctx, std::move(opts));
-  } else {
-    ++rc.api_stats().irecv;
-    const int world_src = (s.peer == kAnySource)
-                              ? kAnySource
-                              : checked_peer(s.comm.group(), s.peer, "start_on");
-    s.active = rc.irecv_on(stream, s.buf, s.count, s.dtype, world_src, s.tag,
-                           ctx, std::move(opts));
-  }
-  s.in_flight = true;
+  // Synchronize-then-post, like isend_on; a receive posts at once. A
+  // round still in flight makes start() throw before anything is posted.
+  if (impl_->is_send && !impl_->in_flight) stream.synchronize();
+  start();
 }
 
 void PersistentRequest::wait(Status* status) {

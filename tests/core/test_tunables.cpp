@@ -119,6 +119,13 @@ TEST(Tunables, ParserHandlesCommentsAndWhitespace) {
 TEST(Tunables, ParserRejectsUnknownKey) {
   std::istringstream in("warp_speed = 9\n");
   EXPECT_THROW(Tunables::from_stream(in), std::invalid_argument);
+  // Removed knobs fail loudly instead of being silently ignored: a config
+  // file that still asks for the stream-triggered posting mode or the
+  // persistent plan cache must not run as if it got them.
+  std::istringstream trigger("trigger_mode = stream\n");
+  EXPECT_THROW(Tunables::from_stream(trigger), std::invalid_argument);
+  std::istringstream plan_cache("persistent_plan_cache = true\n");
+  EXPECT_THROW(Tunables::from_stream(plan_cache), std::invalid_argument);
 }
 
 TEST(Tunables, ParserRejectsMalformedLines) {
@@ -250,32 +257,6 @@ TEST(Tunables, TopologyKnobsValidated) {
   t.ranks_per_node = 0;
   EXPECT_THROW(t.validate(), std::invalid_argument);
   std::istringstream bad(std::string("transport_select = hca\n"));
-  EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument);
-}
-
-TEST(Tunables, StreamTriggerKnobsDefaultOff) {
-  // The pinned baselines depend on these defaults: polled trigger mode and
-  // no persistent plan cache are byte-identical with pre-stream builds.
-  Tunables t;
-  EXPECT_EQ(t.trigger_mode, mv2gnc::core::TriggerMode::kPolled);
-  EXPECT_FALSE(t.persistent_plan_cache);
-}
-
-TEST(Tunables, StreamTriggerKnobsRoundTrip) {
-  Tunables t;
-  t.trigger_mode = mv2gnc::core::TriggerMode::kStream;
-  t.persistent_plan_cache = true;
-  const std::string rendered = t.to_config_string();
-  EXPECT_NE(rendered.find("trigger_mode = stream"), std::string::npos);
-  EXPECT_NE(rendered.find("persistent_plan_cache = true"), std::string::npos);
-  std::istringstream in(rendered);
-  Tunables u = Tunables::from_stream(in);
-  EXPECT_EQ(u.trigger_mode, mv2gnc::core::TriggerMode::kStream);
-  EXPECT_TRUE(u.persistent_plan_cache);
-}
-
-TEST(Tunables, ParserRejectsBadTriggerMode) {
-  std::istringstream bad("trigger_mode = gpu\n");
   EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument);
 }
 

@@ -1,6 +1,6 @@
 // Device-buffer collectives (docs/COLLECTIVES.md, "Device-resident
 // buffers"): the staged and sliced-pipeline schedules must be byte-exact
-// with the host path across the placement / algorithm / trigger matrix,
+// with the host path across the placement / algorithm matrix,
 // survive the lossy fault matrix, return every staging slot, and stay
 // hang-free when a rank crash-stops mid-pipeline.
 #include <gtest/gtest.h>
@@ -29,13 +29,12 @@ namespace {
 constexpr int kCount = 24'001;
 
 ClusterConfig matrix_config(int ranks, int rpn, core::CollSelect sel,
-                            core::CollDevice dev, core::TriggerMode trig) {
+                            core::CollDevice dev) {
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
   cfg.tunables.coll_select = sel;
   cfg.tunables.coll_device = dev;
-  cfg.tunables.trigger_mode = trig;
   // Force several slices per call so the per-slice tag machinery, the
   // prefetch window and the write-back stream all see real traffic.
   cfg.tunables.coll_slice_bytes = 32'768;
@@ -156,13 +155,17 @@ std::vector<std::vector<std::byte>> run_allgather(const ClusterConfig& cfg,
 
 // ---------------------------------------------------------------------------
 // Byte-compare matrix: host == device-staged == device-pipelined across
-// rpn x coll_select x trigger_mode.
+// rpn x coll_select.
 // ---------------------------------------------------------------------------
 
 struct MatrixCase {
   int rpn;
   core::CollSelect sel;
-  core::TriggerMode trig;
+  // Name suffix only (`_stream` / `_polled`): it keeps each case's test ID
+  // stable from when the matrix also varied the since-removed
+  // stream-triggered posting mode. Every case runs the one host-driven
+  // schedule.
+  bool stream_suffix;
 };
 
 class CollDeviceMatrix : public ::testing::TestWithParam<MatrixCase> {};
@@ -170,16 +173,16 @@ class CollDeviceMatrix : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
   const auto host = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged, mc.trig),
+      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged),
       /*device=*/false);
   const auto staged = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged, mc.trig),
+      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged),
       /*device=*/true);
   const auto piped = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kPipelined, mc.trig),
+      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kPipelined),
       /*device=*/true);
   const auto autod = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kAuto, mc.trig),
+      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kAuto),
       /*device=*/true);
   for (int r = 0; r < 8; ++r) {
     const auto& h = host[static_cast<std::size_t>(r)];
@@ -201,7 +204,7 @@ TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
 TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
   const auto mk = [&](core::CollDevice dev) {
-    return matrix_config(8, mc.rpn, mc.sel, dev, mc.trig);
+    return matrix_config(8, mc.rpn, mc.sel, dev);
   };
   const auto bhost = run_bcast(mk(core::CollDevice::kStaged), false, 2);
   const auto bstaged = run_bcast(mk(core::CollDevice::kStaged), true, 2);
@@ -225,44 +228,39 @@ TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
 INSTANTIATE_TEST_SUITE_P(
     Placements, CollDeviceMatrix,
     ::testing::Values(
-        MatrixCase{1, core::CollSelect::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{1, core::CollSelect::kAuto, core::TriggerMode::kStream},
-        MatrixCase{2, core::CollSelect::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{2, core::CollSelect::kHier, core::TriggerMode::kPolled},
-        MatrixCase{2, core::CollSelect::kHier, core::TriggerMode::kStream},
-        MatrixCase{2, core::CollSelect::kAuto, core::TriggerMode::kPolled},
-        MatrixCase{4, core::CollSelect::kFlat, core::TriggerMode::kStream},
-        MatrixCase{4, core::CollSelect::kHier, core::TriggerMode::kPolled},
-        MatrixCase{4, core::CollSelect::kAuto, core::TriggerMode::kStream}),
+        MatrixCase{1, core::CollSelect::kFlat, false},
+        MatrixCase{1, core::CollSelect::kAuto, true},
+        MatrixCase{2, core::CollSelect::kFlat, false},
+        MatrixCase{2, core::CollSelect::kHier, false},
+        MatrixCase{2, core::CollSelect::kAuto, false},
+        MatrixCase{4, core::CollSelect::kFlat, true},
+        MatrixCase{4, core::CollSelect::kHier, false},
+        MatrixCase{4, core::CollSelect::kAuto, true}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       const MatrixCase& mc = info.param;
       std::string name = "rpn" + std::to_string(mc.rpn);
       name += mc.sel == core::CollSelect::kFlat    ? "_flat"
               : mc.sel == core::CollSelect::kHier ? "_hier"
                                                   : "_auto";
-      name += mc.trig == core::TriggerMode::kStream ? "_stream" : "_polled";
+      name += mc.stream_suffix ? "_stream" : "_polled";
       return name;
     });
 
 // A non-power-of-two group exercises the pre/post pairing of the sliced
 // wire leg on every schedule.
 TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
-  for (core::TriggerMode trig :
-       {core::TriggerMode::kPolled, core::TriggerMode::kStream}) {
-    const auto host = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto, core::CollDevice::kStaged,
-                      trig),
-        false);
-    const auto piped = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto,
-                      core::CollDevice::kPipelined, trig),
-        true);
-    for (int r = 0; r < 6; ++r) {
-      EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
-                               piped[static_cast<std::size_t>(r)].data(),
-                               sizeof(double) * kCount))
-          << "rank " << r << " trig " << static_cast<int>(trig);
-    }
+  const auto host = run_allreduce(
+      matrix_config(6, 2, core::CollSelect::kAuto, core::CollDevice::kStaged),
+      false);
+  const auto piped = run_allreduce(
+      matrix_config(6, 2, core::CollSelect::kAuto,
+                    core::CollDevice::kPipelined),
+      true);
+  for (int r = 0; r < 6; ++r) {
+    EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
+                             piped[static_cast<std::size_t>(r)].data(),
+                             sizeof(double) * kCount))
+        << "rank " << r;
   }
 }
 
@@ -270,8 +268,7 @@ TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
 // with the host result — it rides the staged schedule's wire leg.
 TEST(CollDevice, MixedResidencyFallsBackToStaged) {
   ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kAuto,
-                                    core::CollDevice::kPipelined,
-                                    core::TriggerMode::kPolled);
+                                    core::CollDevice::kPipelined);
   std::vector<std::vector<double>> out(
       4, std::vector<double>(static_cast<std::size_t>(kCount)));
   Cluster cluster(cfg);
@@ -285,8 +282,7 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
     ctx.cuda->free(din);
   });
   const auto host = run_allreduce(
-      matrix_config(4, 2, core::CollSelect::kAuto, core::CollDevice::kStaged,
-                    core::TriggerMode::kPolled),
+      matrix_config(4, 2, core::CollSelect::kAuto, core::CollDevice::kStaged),
       false);
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
@@ -309,8 +305,7 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
 
 TEST(CollDevice, PipelinedCountersAndPeerBytes) {
   ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kHier,
-                                    core::CollDevice::kPipelined,
-                                    core::TriggerMode::kPolled);
+                                    core::CollDevice::kPipelined);
   const auto piped = run_allreduce(cfg, true);
   (void)piped;
   Cluster cluster(cfg);
@@ -345,8 +340,7 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
 TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
   for (core::CollDevice dev :
        {core::CollDevice::kStaged, core::CollDevice::kPipelined}) {
-    ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kAuto, dev,
-                                      core::TriggerMode::kPolled);
+    ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kAuto, dev);
     cfg.rng_seed = 23;
     netsim::FaultSpec drop;
     drop.drop_send = 0.02;
@@ -354,8 +348,7 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
     cfg.ipc_faults.set_default(drop);
     const auto lossy = run_allreduce(cfg, true);
     ClusterConfig clean = matrix_config(8, 2, core::CollSelect::kAuto,
-                                        core::CollDevice::kStaged,
-                                        core::TriggerMode::kPolled);
+                                        core::CollDevice::kStaged);
     const auto host = run_allreduce(clean, false);
     for (int r = 0; r < 8; ++r) {
       EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
@@ -374,8 +367,7 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
 
 TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
   ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kHier,
-                                    core::CollDevice::kPipelined,
-                                    core::TriggerMode::kPolled);
+                                    core::CollDevice::kPipelined);
   cfg.rng_seed = 11;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.tunables.rndv_max_retries = 3;

@@ -1,9 +1,9 @@
-// Stream-triggered and persistent rendezvous under the PR-7 fault matrix
-// (docs/STREAMS.md): the new trigger_mode / persistent_plan_cache knobs
-// must deliver the same bytes as the CPU-driven loop on every transport
-// (fabric, IPC, mixed rpn), survive lossy fabrics without losing the
-// hang-free guarantee, and fail cleanly — not hang — when a peer
-// crash-stops mid-startall.
+// Stream-attached and persistent posting (docs/STREAMS.md): isend_on /
+// irecv_on / startall_on must deliver the same bytes as plain
+// isend/irecv on every transport (fabric, IPC, mixed rpn) and take the
+// same virtual time as synchronize-then-post; persistent requests must
+// survive lossy fabrics without losing the hang-free guarantee, and fail
+// cleanly — not hang — when a peer crash-stops mid-startall.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,22 +30,21 @@ Datatype committed(Datatype t) {
   return t;
 }
 
-enum class Mode { kCpuDriven, kStreamTriggered, kPersistentStream };
+// How one round of the exchange is posted.
+enum class Spelling {
+  kPlain,       // isend + irecv
+  kOn,          // isend_on + irecv_on behind a kernel on the stream
+  kPersistent,  // send_init/recv_init once, startall_on every round
+};
 
 // Ring halo exchange of a strided device vector, `iters` rounds; returns
 // every received element of every rank and round, in a deterministic
-// order, for byte-compare across modes.
-std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
-                          int iters) {
+// order, for byte-compare across spellings.
+std::vector<int> run_ring(Spelling spelling, int ranks, std::size_t rpn,
+                          int n, int iters) {
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = rpn;
-  if (mode != Mode::kCpuDriven) {
-    cfg.tunables.trigger_mode = core::TriggerMode::kStream;
-  }
-  if (mode == Mode::kPersistentStream) {
-    cfg.tunables.persistent_plan_cache = true;
-  }
   std::vector<int> received(
       static_cast<std::size_t>(ranks) * static_cast<std::size_t>(iters) *
       static_cast<std::size_t>(n));
@@ -60,7 +59,7 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
     const int from = (ctx.rank + ctx.size - 1) % ctx.size;
     cusim::Stream stream = ctx.cuda->create_stream();
     std::array<mpisim::PersistentRequest, 2> preqs;
-    if (mode == Mode::kPersistentStream) {
+    if (spelling == Spelling::kPersistent) {
       preqs[0] = ctx.comm.send_init(dsend, 1, col, to, 9);
       preqs[1] = ctx.comm.recv_init(drecv, 1, col, from, 9);
     }
@@ -72,15 +71,15 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
       }
       ctx.cuda->memcpy(dsend, host.data(), span,
                        cusim::MemcpyKind::kHostToDevice);
-      switch (mode) {
-        case Mode::kCpuDriven: {
+      switch (spelling) {
+        case Spelling::kPlain: {
           mpisim::Request sr = ctx.comm.isend(dsend, 1, col, to, 9);
           mpisim::Request rr = ctx.comm.irecv(drecv, 1, col, from, 9);
           std::array<mpisim::Request, 2> reqs{sr, rr};
           ctx.comm.waitall(reqs);
           break;
         }
-        case Mode::kStreamTriggered: {
+        case Spelling::kOn: {
           ctx.cuda->launch_kernel_timed(stream, 5'000, [] {});
           mpisim::Request sr = ctx.comm.isend_on(stream, dsend, 1, col, to, 9);
           mpisim::Request rr =
@@ -89,7 +88,7 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
           ctx.comm.waitall(reqs);
           break;
         }
-        case Mode::kPersistentStream: {
+        case Spelling::kPersistent: {
           ctx.cuda->launch_kernel_timed(stream, 5'000, [] {});
           ctx.comm.startall_on(stream, preqs);
           ctx.comm.waitall_persistent(preqs);
@@ -113,6 +112,56 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
   return received;
 }
 
+// Per-iteration virtual time of the two-rank stencil loop: `bytes` of a
+// strided int32 column per halo, every size on the rendezvous path.
+// kPlain synchronizes the compute stream itself before posting.
+sim::SimTime run_stencil(Spelling spelling, std::size_t bytes, int iters) {
+  ClusterConfig cfg;
+  cfg.ranks = 2;
+  cfg.tunables.eager_threshold = 0;
+  sim::SimTime per_iter = 0;
+  Cluster cluster(cfg);
+  cluster.run([&](Context& ctx) {
+    const int peer = 1 - ctx.rank;
+    auto col = committed(Datatype::vector(static_cast<int>(bytes / 4), 1, 2,
+                                          Datatype::int32()));
+    const std::size_t span = static_cast<std::size_t>(col.extent()) + 64;
+    auto* sendbuf = static_cast<std::byte*>(ctx.cuda->malloc(span));
+    auto* recvbuf = static_cast<std::byte*>(ctx.cuda->malloc(span));
+    cusim::Stream stream = ctx.cuda->create_stream();
+    std::array<mpisim::PersistentRequest, 2> preqs;
+    if (spelling == Spelling::kPersistent) {
+      preqs[0] = ctx.comm.send_init(sendbuf, 1, col, peer, 7);
+      preqs[1] = ctx.comm.recv_init(recvbuf, 1, col, peer, 7);
+    }
+    ctx.comm.barrier();
+    const sim::SimTime t0 = ctx.now();
+    for (int it = 0; it < iters; ++it) {
+      ctx.cuda->launch_kernel_timed(stream, 20'000, [] {});
+      if (spelling == Spelling::kPersistent) {
+        ctx.comm.startall_on(stream, preqs);
+        ctx.comm.waitall_persistent(preqs);
+        continue;
+      }
+      std::array<mpisim::Request, 2> reqs;
+      if (spelling == Spelling::kPlain) {
+        stream.synchronize();
+        reqs = {ctx.comm.isend(sendbuf, 1, col, peer, 7),
+                ctx.comm.irecv(recvbuf, 1, col, peer, 7)};
+      } else {
+        reqs = {ctx.comm.isend_on(stream, sendbuf, 1, col, peer, 7),
+                ctx.comm.irecv_on(stream, recvbuf, 1, col, peer, 7)};
+      }
+      ctx.comm.waitall(reqs);
+    }
+    ctx.comm.barrier();
+    if (ctx.rank == 0) per_iter = (ctx.now() - t0) / iters;
+    ctx.cuda->free(sendbuf);
+    ctx.cuda->free(recvbuf);
+  });
+  return per_iter;
+}
+
 void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
@@ -125,34 +174,51 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send) {
 }  // namespace
 
 TEST(StreamPersistent, ByteCompareCpuVsStreamAcrossRpn) {
-  // The stream-triggered path must deliver exactly the bytes the
-  // CPU-driven loop delivers, on the fabric (rpn=1), mixed (rpn=2) and
-  // all-IPC (rpn=4) topologies — every rendezvous path flavor.
+  // The stream-attached and persistent spellings must deliver exactly the
+  // bytes plain isend/irecv delivers, on the fabric (rpn=1), mixed (rpn=2)
+  // and all-IPC (rpn=4) topologies — every rendezvous path flavor.
   const int n = 4096;  // 16 KB packed: rendezvous-sized
   for (std::size_t rpn : {1u, 2u, 4u}) {
-    const std::vector<int> cpu = run_ring(Mode::kCpuDriven, 4, rpn, n, 3);
-    const std::vector<int> str =
-        run_ring(Mode::kStreamTriggered, 4, rpn, n, 3);
+    const std::vector<int> plain = run_ring(Spelling::kPlain, 4, rpn, n, 3);
+    const std::vector<int> on = run_ring(Spelling::kOn, 4, rpn, n, 3);
     const std::vector<int> per =
-        run_ring(Mode::kPersistentStream, 4, rpn, n, 3);
-    EXPECT_EQ(cpu, str) << "rpn=" << rpn;
-    EXPECT_EQ(cpu, per) << "rpn=" << rpn;
+        run_ring(Spelling::kPersistent, 4, rpn, n, 3);
+    EXPECT_EQ(plain, on) << "rpn=" << rpn;
+    EXPECT_EQ(plain, per) << "rpn=" << rpn;
     // Sanity: the expected ring pattern actually arrived (guards against
     // three identically-wrong runs).
-    EXPECT_EQ(cpu[0], 3 * 1'000'000);  // rank 0 hears rank 3, round 0
+    EXPECT_EQ(plain[0], 3 * 1'000'000);  // rank 0 hears rank 3, round 0
+  }
+}
+
+TEST(StreamPersistent, StencilLoopTimeIsTheSameForEverySpelling) {
+  // A stencil iteration between two GPUs: a 20 us compute kernel, then a
+  // halo exchange of the Figure-5 layout (int32 column, stride 2) on the
+  // rendezvous path. The host drives the pipeline in every spelling, so
+  // synchronize + isend/irecv, isend_on/irecv_on and persistent
+  // startall_on take the same virtual time per iteration, pinned here.
+  struct Pin {
+    std::size_t bytes;
+    sim::SimTime per_iter_ns;
+  };
+  for (const Pin pin : {Pin{4096, 112'270}, Pin{65536, 572'748}}) {
+    for (Spelling spelling :
+         {Spelling::kPlain, Spelling::kOn, Spelling::kPersistent}) {
+      EXPECT_EQ(run_stencil(spelling, pin.bytes, 3), pin.per_iter_ns)
+          << pin.bytes << " B, spelling " << static_cast<int>(spelling);
+    }
   }
 }
 
 TEST(StreamPersistent, PersistentSurvivesLossyFabricAndIpc) {
-  // Persistent re-fires with the plan cache on, under the PR-7 lossy
-  // matrix: dropped rendezvous control on both the fabric and the IPC
-  // channel. The reliability layer must retransmit through it; the cached
-  // plan must not leak stale state between rounds. Completion of this
-  // test IS the hang-free assertion (a hang deadlocks the run).
+  // Persistent re-fires under the lossy matrix: dropped rendezvous
+  // control on both the fabric and the IPC channel. The reliability layer
+  // must retransmit through it, and no round may leak state into the
+  // next. Completion of this test IS the hang-free assertion (a hang
+  // deadlocks the run).
   ClusterConfig cfg;
   cfg.ranks = 4;
   cfg.tunables.ranks_per_node = 2;
-  cfg.tunables.persistent_plan_cache = true;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.rng_seed = 23;
   fault_rendezvous_control(cfg.faults, 0.05);
@@ -177,15 +243,12 @@ TEST(StreamPersistent, PersistentSurvivesLossyFabricAndIpc) {
     }
   });
   std::uint64_t faults = 0;
-  std::uint64_t cache_hits = 0;
   for (int r = 0; r < 4; ++r) {
     faults += cluster.fault_stats(r).fabric.total() +
               cluster.fault_stats(r).ipc.total();
-    cache_hits += cluster.trigger_stats(r).plan_cache_hits;
     EXPECT_EQ(cluster.vbuf_audit(r), "") << "rank " << r;
   }
   EXPECT_GT(faults, 0u) << "lossy run injected nothing - vacuous test";
-  EXPECT_GT(cache_hits, 0u) << "plan cache never re-fired";
 }
 
 TEST(StreamPersistent, CrashMidStartallFailsCleanlyWithoutHanging) {
@@ -195,7 +258,6 @@ TEST(StreamPersistent, CrashMidStartallFailsCleanlyWithoutHanging) {
   // keeps exchanging correct data through the noise.
   ClusterConfig cfg;
   cfg.ranks = 4;
-  cfg.tunables.persistent_plan_cache = true;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.tunables.rndv_max_retries = 3;
   cfg.rng_seed = 31;
