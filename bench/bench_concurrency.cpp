@@ -83,7 +83,7 @@ mpisim::ClusterConfig make_config(bool fair, std::uint64_t seed) {
   netsim::FaultSpec ctrl;
   ctrl.jitter_ns = 50'000;
   for (int kind : {core::kRts, core::kCts, core::kChunkAck,
-                   core::kChunkAckBatch, core::kChunkFin, core::kRndvDone,
+                   core::kChunkAckBatch, core::kChunkFin,
                    core::kSendDone, core::kRtsAck, core::kSendDoneAck}) {
     cfg.faults.set_kind(kind, ctrl);
   }

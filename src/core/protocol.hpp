@@ -3,9 +3,7 @@
 // writes, each followed by a "RDMA write finish" immediate, plus CHUNK_ACK
 // messages that acknowledge each chunk and re-advertise landing buffers as
 // the receiver drains them (the paper's CREDIT, fused with the per-chunk
-// acknowledgement the reliability layer needs). An optional receiver-driven
-// variant (RGET) short-circuits the CTS leg: RTS carries the source
-// address, the receiver RDMA-READs, then sends kRndvDone.
+// acknowledgement the reliability layer needs).
 //
 // Every control message carries WireMessage::seq so a retransmitted copy
 // arriving after the original can be recognized and dropped; receipt of any
@@ -36,11 +34,10 @@ enum MsgKind : int {
                   //   the acked chunk's fin carried a congestion mark);
                   //   payload = recycled slot address — per-chunk ack with
                   //   the CREDIT fused in
-  kRndvDone = 6,  // h0=sender req, h1=recv req — receiver-driven (RGET)
-                  //   completion
-  kSendDone = 7,  // h0=recv req — sender has seen every ack (or the RGET
-                  //   done); the receiver may release its remaining landing
-                  //   slots and forget the transfer
+  // 6 is unused: kind values are fixed, so no later kind shifts into it.
+  kSendDone = 7,  // h0=recv req — sender has seen every ack; the receiver
+                  //   may release its remaining landing slots and forget
+                  //   the transfer
   kRtsAck = 8,    // h0=sender req — the RTS arrived but no matching recv is
                   //   posted yet; refreshes the sender's retry budget so an
                   //   arbitrarily late recv is never mistaken for loss

@@ -162,7 +162,6 @@ bool select_offload(const RankResources& res, const MsgView& msg) {
   // Layouts other than one strided group always take the offload path:
   // there is no single cudaMemcpy2D that can walk them across PCIe.
   if (msg.plan->single_group() == nullptr) return true;
-  if (tun.scheme_select == SchemeSelect::kTunable) return tun.gpu_offload;
   // Model-driven, with gpu_offload=false kept as a hard ablation override
   // (the paper's nc2c measurement runs).
   if (!tun.gpu_offload || res.cuda == nullptr) return false;
@@ -209,13 +208,13 @@ cusim::IpcMemHandle read_ipc_handle(const std::vector<std::byte>& payload) {
   return h;
 }
 
-// Absolute deadline for retry number `retries`: base timeout grown by the
-// backoff factor, clamped so an extreme retry count cannot overflow SimTime
-// (the cap is ~11 virtual days; transfers fail long before).
+// Absolute deadline for retry number `retries`: base timeout grown by
+// kRndvBackoffFactor, clamped so an extreme retry count cannot overflow
+// SimTime (the cap is ~11 virtual days; transfers fail long before).
 sim::SimTime backoff_deadline(const Tunables& tun, std::size_t retries,
                               sim::SimTime now) {
   const double scale =
-      std::pow(tun.rndv_backoff_factor, static_cast<double>(retries));
+      std::pow(kRndvBackoffFactor, static_cast<double>(retries));
   double delay_ns = static_cast<double>(tun.rndv_timeout_ns) * scale;
   if (!(delay_ns < 1e15)) delay_ns = 1e15;
   return now + static_cast<sim::SimTime>(delay_ns);
@@ -281,7 +280,7 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
   remote_slot_idx_.assign(plan_.count, kNoSlot);
   remote_addr_.assign(plan_.count, nullptr);
   if (res_.sched != nullptr) {
-    res_.sched->register_transfer(req_id_, plan_.total);
+    res_.sched->register_transfer(req_id_);
   }
 }
 
@@ -323,12 +322,6 @@ void RndvSend::start(std::uint64_t tag_word) {
   rts_.header[1] = plan_.total;
   rts_.header[2] = req_id_;
   rts_.header[3] = plan_.chunk;
-  if (res_.tun->rget && path_ == Path::kHostContig) {
-    // Advertise the source address: an RGET-capable receiver may pull the
-    // data directly and skip the CTS leg.
-    rts_.header[4] = 1;
-    rts_.header[5] = reinterpret_cast<std::uintptr_t>(msg_.base);
-  }
   post_ctrl(rts_);
   build_graph();
   if (path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) {
@@ -487,9 +480,9 @@ void RndvSend::handle_timeout() {
 
 void RndvSend::retransmit_unacked() {
   if (!cts_received_) {
-    // Handshake not established (RTS, CTS or the RGET done was lost):
-    // resend the stored RTS. The receiver dedups by (src, sender req) and
-    // replays its CTS / done if it already answered.
+    // Handshake not established (RTS or CTS was lost): resend the stored
+    // RTS. The receiver dedups by (src, sender req) and replays its CTS if
+    // it already answered.
     post_ctrl(rts_);
     if (res_.retries != nullptr) ++res_.retries->rts_retransmits;
     trace_event("fault_rts_retransmit");
@@ -757,7 +750,7 @@ bool RndvSend::on_rdma_complete(std::uint64_t wr_id) {
   // Deliberately NO note_progress(): a local transmit completion is our own
   // event, not evidence the peer is alive — retransmitted writes would
   // otherwise keep resetting the retry budget forever. Budget refresh comes
-  // only from receipts (CTS, acks, RTS_ACK, the RGET done).
+  // only from receipts (CTS, acks, RTS_ACK).
   maybe_release_slot(i);
   if (!complete_ && !failed_ && maybe_complete()) return true;
   advance();
@@ -788,18 +781,6 @@ bool RndvSend::on_rdma_error(std::uint64_t wr_id) {
   return true;
 }
 
-void RndvSend::on_rget_done(const netsim::WireMessage& m) {
-  if (complete_ || failed_) return;
-  if (rget_done_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
-    return;
-  }
-  rget_done_ = true;
-  peer_req_ = m.header[1];  // lets the SEND_DONE be addressed back
-  note_progress();
-  complete_transfer();
-}
-
 void RndvSend::complete_transfer() {
   complete_ = true;
   res_.net->note_success(dst_);  // failover health: the path delivered
@@ -827,7 +808,7 @@ void RndvSend::complete_transfer() {
     res_.cuda->ipc_close_mem_handle(direct_base_);
     ipc_mapped_ = false;
   }
-  if (cts_received_ || rget_done_) {
+  if (cts_received_) {
     // Tell the receiver no retransmission can follow, releasing its
     // retained landing slots (and, in direct mode, its request).
     done_.kind = kSendDone;
@@ -918,21 +899,15 @@ void RndvSend::abandon(const std::string& reason) {
 
 RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
                    std::uint64_t sender_req, std::uint64_t my_req_id,
-                   std::size_t incoming_bytes, std::size_t sender_chunk,
-                   const std::byte* rget_src)
+                   std::size_t incoming_bytes, std::size_t sender_chunk)
     : res_(res),
       msg_(std::move(msg)),
       src_(src_node),
       sender_req_(sender_req),
       req_id_(my_req_id),
       graph_(res.trig),
-      rget_src_(rget_src),
       timer_(*res.engine) {
-  const Tunables& tun = *res_.tun;
-  if (tun.rget && rget_src_ != nullptr && !msg_.on_device &&
-      msg_.contiguous) {
-    path_ = Path::kHostRget;
-  } else if (msg_.on_device && res_.net != nullptr &&
+  if (msg_.on_device && res_.net != nullptr &&
              res_.net->device_direct(src_node)) {
     // Co-located sender with a peer-copy-capable transport: the payload
     // lands in device memory directly (user buffer when contiguous, a
@@ -960,7 +935,7 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
   acks_.resize(plan_.count);
   drained_chunk_.assign(plan_.count, false);
   if (res_.sched != nullptr) {
-    res_.sched->register_transfer(req_id_, plan_.total);
+    res_.sched->register_transfer(req_id_);
   }
 }
 
@@ -1111,12 +1086,6 @@ void RndvRecv::start() {
   // failed or the path died, and the receive must resolve bounded instead
   // of tripping the engine's deadlock detector.
   arm_timer();
-  if (path_ == Path::kHostRget) {
-    // Receiver-driven: pull the whole message in one RDMA READ; no CTS.
-    rget_wr_ = res_.net->post_rdma_read(src_, msg_.base, rget_src_,
-                                             plan_.total);
-    return;
-  }
   cts_.kind = kCts;
   cts_.header[0] = sender_req_;
   cts_.header[1] = req_id_;
@@ -1187,16 +1156,6 @@ void RndvRecv::start() {
 
 void RndvRecv::on_duplicate_rts() {
   note_progress();  // the sender is alive and probing
-  if (path_ == Path::kHostRget) {
-    if (done_sent_) {
-      // Our kRndvDone was lost; replay it.
-      post_ctrl(done_msg_);
-      if (res_.retries != nullptr) ++res_.retries->done_resent;
-      trace_event("fault_done_resent");
-    }
-    // Otherwise the RDMA READ is still in flight; the done will follow.
-    return;
-  }
   if (cts_sent_) {
     post_ctrl(cts_);
     if (res_.retries != nullptr) ++res_.retries->cts_resent;
@@ -1340,20 +1299,6 @@ void RndvRecv::on_send_abort() {
        std::to_string(src_) + ": sender aborted the transfer");
 }
 
-bool RndvRecv::on_rdma_read_complete(std::uint64_t wr_id) {
-  if (path_ != Path::kHostRget || wr_id != rget_wr_ || done_sent_) {
-    return false;
-  }
-  note_progress();
-  completed_ = plan_.count;
-  done_msg_.kind = kRndvDone;
-  done_msg_.header[0] = sender_req_;
-  done_msg_.header[1] = req_id_;  // return address for the SEND_DONE
-  done_sent_ = true;
-  post_ctrl(done_msg_);
-  return true;
-}
-
 bool RndvRecv::request_complete() const {
   if (failed_) return false;
   if (path_ == Path::kHostDirect || path_ == Path::kDeviceIpcDirect) {
@@ -1380,8 +1325,6 @@ void RndvRecv::build_graph() {
   graph_.clear();
   if (res_.trig != nullptr) ++res_.trig->graphs_built;
   switch (path_) {
-    case Path::kHostRget:
-      return;  // driven entirely by on_rdma_read_complete; no chains
     case Path::kHostDirect:
     case Path::kDeviceIpcDirect: {
       // The write already landed in the user buffer (RDMA into host memory

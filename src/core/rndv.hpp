@@ -74,7 +74,6 @@ struct RetryStats {
   std::uint64_t error_retransmits = 0;   // chunk writes resent after kError
   std::uint64_t cts_resent = 0;          // stored CTS replayed on dup RTS
   std::uint64_t acks_resent = 0;         // stored ack replayed on dup fin
-  std::uint64_t done_resent = 0;         // RGET done replayed on dup RTS
   std::uint64_t send_done_retransmits = 0;  // direct-mode SEND_DONE resent
   std::uint64_t timeouts = 0;            // deadline expiries counted as retry
   std::uint64_t stall_fallbacks = 0;     // vbuf-starvation watchdog firings
@@ -85,7 +84,7 @@ struct RetryStats {
 
   std::uint64_t total_retransmits() const {
     return rts_retransmits + chunk_retransmits + error_retransmits +
-           cts_resent + acks_resent + done_resent + send_done_retransmits;
+           cts_resent + acks_resent + send_done_retransmits;
   }
 };
 
@@ -189,8 +188,8 @@ struct ChunkPlan {
 
 /// Sender-side state machine. Drive with on_*() from the progress engine
 /// and call advance() after every event; done() flips once every chunk has
-/// been acknowledged by the receiver (or the RGET done arrived), failed()
-/// once the retry budget is exhausted.
+/// been acknowledged by the receiver, failed() once the retry budget is
+/// exhausted.
 ///
 /// Internally the stage transitions (pack-done -> D2H -> vbuf acquire ->
 /// RDMA -> ack) form a TriggerGraph: each advance() is one firing pass over
@@ -228,9 +227,6 @@ class RndvSend {
   /// chunk, bounded per chunk by rndv_max_retries. Returns true when the
   /// wr_id belonged to this transfer.
   bool on_rdma_error(std::uint64_t wr_id);
-  /// RGET: the receiver pulled the data and sent kRndvDone (h1 carries the
-  /// receiver's request id so the SEND_DONE can be addressed back).
-  void on_rget_done(const netsim::WireMessage& msg);
   void advance();
 
   bool done() const { return complete_; }
@@ -345,7 +341,6 @@ class RndvSend {
   std::vector<std::uint64_t> remote_slot_idx_;  // landing slot per chunk
   std::vector<void*> remote_addr_;              // landing address per chunk
   bool force_pinned_ = false;          // stall watchdog verdict
-  bool rget_done_ = false;
   bool complete_ = false;
   bool failed_ = false;
   std::string error_;
@@ -362,12 +357,9 @@ class RndvSend {
 /// waiting out the engine's deadlock detector.
 class RndvRecv {
  public:
-  /// `rget_src` is the sender's advertised source address (from the RTS)
-  /// when the sender is RGET-eligible, or nullptr.
   RndvRecv(RankResources& res, MsgView msg, int src_node,
            std::uint64_t sender_req, std::uint64_t my_req_id,
-           std::size_t incoming_bytes, std::size_t sender_chunk,
-           const std::byte* rget_src = nullptr);
+           std::size_t incoming_bytes, std::size_t sender_chunk);
   ~RndvRecv();
   RndvRecv(const RndvRecv&) = delete;
   RndvRecv& operator=(const RndvRecv&) = delete;
@@ -376,13 +368,11 @@ class RndvRecv {
   void start();
 
   void on_chunk_fin(const netsim::WireMessage& msg);
-  /// Returns true when the read completion belonged to this transfer.
-  bool on_rdma_read_complete(std::uint64_t wr_id);
-  /// The sender saw every ack (or the RGET done): release retained landing
-  /// slots and, in direct mode, complete the request.
+  /// The sender saw every ack: release retained landing slots and, in
+  /// direct mode, complete the request.
   void on_send_done();
   /// A retransmitted RTS for this transfer arrived: replay the stored CTS
-  /// (or the RGET done) so a lost handshake message is recovered.
+  /// so a lost handshake message is recovered.
   void on_duplicate_rts();
   /// Best-effort notice that the sender failed the transfer permanently:
   /// fail the receive now rather than waiting out the watchdog.
@@ -420,7 +410,7 @@ class RndvRecv {
   // landing buffer (rtbuf_) that a D2D c2nc unpack scatters from — the
   // intra-node collapsed pipeline; no host staging slot ever exists.
   enum class Path { kDeviceOffload, kDevicePcie, kDeviceContig, kHostUnpack,
-                    kHostDirect, kHostRget, kDeviceIpcOffload,
+                    kHostDirect, kDeviceIpcOffload,
                     kDeviceIpcDirect };
 
   /// Landings where the sender writes a buffer this side advertised whole
@@ -459,8 +449,6 @@ class RndvRecv {
   std::shared_ptr<const PackPlan::ChunkCursors> cursors_;
   /// The landing dependency graph (see RndvSend::graph_).
   TriggerGraph graph_;
-  const std::byte* rget_src_ = nullptr;
-  std::uint64_t rget_wr_ = 0;
 
   std::byte* rtbuf_ = nullptr;  // device landing buffer (kDeviceOffload)
   std::vector<detail::StagingSlot> slots_;  // landing slots (staged modes)
@@ -484,8 +472,6 @@ class RndvRecv {
   // -- reliability state -------------------------------------------------
   netsim::WireMessage cts_;            // stored for replay on dup RTS
   bool cts_sent_ = false;
-  netsim::WireMessage done_msg_;       // RGET done, stored for replay
-  bool done_sent_ = false;
   std::vector<netsim::WireMessage> acks_;  // stored per chunk once drained
   std::vector<bool> drained_chunk_;
   std::size_t drained_acks_ = 0;  // chunks acked at least once

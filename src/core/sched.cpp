@@ -34,11 +34,8 @@ TransferScheduler::TransferScheduler(sim::Engine& engine, VbufPool& pool,
 // Transfer registry
 // ===========================================================================
 
-void TransferScheduler::register_transfer(std::uint64_t id,
-                                          std::size_t total_bytes) {
-  Xfer& x = xfers_[id];
-  x.total_bytes = total_bytes;
-  x.last_ask = ask_clock_;
+void TransferScheduler::register_transfer(std::uint64_t id) {
+  xfers_[id].last_ask = ask_clock_;
   stats_.active_high_water = std::max(stats_.active_high_water, xfers_.size());
 }
 
@@ -99,23 +96,6 @@ void TransferScheduler::prune_waiting() {
       ++it;
     }
   }
-}
-
-std::uint64_t TransferScheduler::overflow_head() const {
-  if (tun_.sched_policy == SchedPolicy::kBytesWeighted) {
-    std::uint64_t best = waiting_.front();
-    std::size_t best_bytes = 0;
-    for (const std::uint64_t id : waiting_) {
-      const auto it = xfers_.find(id);
-      const std::size_t b = (it != xfers_.end()) ? it->second.total_bytes : 0;
-      if (b > best_bytes) {
-        best = id;
-        best_bytes = b;
-      }
-    }
-    return best;
-  }
-  return waiting_.front();  // kFair: strict round-robin turn order
 }
 
 void TransferScheduler::grant(std::uint64_t id, Xfer& x, bool from_reserve) {
@@ -187,7 +167,8 @@ bool TransferScheduler::may_acquire(std::uint64_t id) {
     return true;
   }
   // Overflow region: never dip into slots other transfers' unmet reserves
-  // are entitled to, and hand out scarce spare slots in policy order.
+  // are entitled to, and hand out scarce spare slots in strict round-robin
+  // turn order.
   const std::size_t unmet = unmet_reserve_excluding(id);
   if (avail <= unmet) {
     deny(id, x, /*pool_contended=*/true);
@@ -195,7 +176,7 @@ bool TransferScheduler::may_acquire(std::uint64_t id) {
   }
   const std::size_t spare = avail - unmet;
   prune_waiting();
-  if (!waiting_.empty() && spare <= waiting_.size() && overflow_head() != id) {
+  if (!waiting_.empty() && spare <= waiting_.size() && waiting_.front() != id) {
     deny(id, x, /*pool_contended=*/false);
     return false;
   }
@@ -223,35 +204,20 @@ std::size_t TransferScheduler::depth_max() const {
   // is the larger of the window and the pool — an uncontended transfer may
   // fill the pool exactly as it would under kFifo; the shrink side takes
   // over when concurrency makes that hoarding.
-  std::size_t cap = std::max(tun_.recv_window, pool_.capacity());
-  if (tun_.max_inflight_chunks > 0) {
-    cap = std::min(cap, tun_.max_inflight_chunks);
-  }
-  return std::max<std::size_t>(1, cap);
+  return std::max<std::size_t>(
+      1, std::max(tun_.recv_window, pool_.capacity()));
 }
 
 std::size_t TransferScheduler::depth_init() const {
-  std::size_t cap = tun_.recv_window;
-  if (tun_.max_inflight_chunks > 0) {
-    cap = std::min(cap, tun_.max_inflight_chunks);
-  }
-  return std::max<std::size_t>(1, cap);
+  return std::max<std::size_t>(1, tun_.recv_window);
 }
 
 std::size_t TransferScheduler::inflight_cap() const {
   if (!fair()) {
-    if (ecn_enabled()) {
-      // ECN feedback drives the depth even under kFifo: fabric congestion
-      // must be able to throttle the pipeline no matter the vbuf policy.
-      std::size_t cap = tun_.max_inflight_chunks > 0
-                            ? tun_.max_inflight_chunks
-                            : std::numeric_limits<std::size_t>::max();
-      return std::min(depth_, cap);
-    }
-    // Legacy behavior unless the explicit cap is set; no adaptation.
-    return tun_.max_inflight_chunks > 0
-               ? tun_.max_inflight_chunks
-               : std::numeric_limits<std::size_t>::max();
+    // ECN feedback drives the depth even under kFifo: fabric congestion
+    // must be able to throttle the pipeline no matter the vbuf policy.
+    // Otherwise legacy behavior: unbounded, no adaptation.
+    return ecn_enabled() ? depth_ : std::numeric_limits<std::size_t>::max();
   }
   // A solo transfer runs at the optimistic ceiling (fifo parity). With
   // company, the static part of the cap drops to the receive window (or

@@ -14,8 +14,7 @@
 //     of pooled staging slots (vbuf_reserve_per_transfer, shrinking
 //     automatically when transfers outnumber capacity/reserve); the rest
 //     of the pool is a shared overflow region handed out in round-robin
-//     turns (SchedPolicy::kFair) or by remaining-bytes weight
-//     (SchedPolicy::kBytesWeighted).
+//     turns (SchedPolicy::kFair).
 //   * adaptive pipeline depth — a per-transfer cap on staged-but-unacked
 //     chunks that shrinks while the pool is contended and grows back while
 //     it is idle, bounded by recv_window.
@@ -107,8 +106,8 @@ class TransferScheduler {
 
   // -- transfer registry --------------------------------------------------
   /// A transfer (sender or receiver side) that stages through the vbuf
-  /// pool became active. `total_bytes` feeds the bytes-weighted policy.
-  void register_transfer(std::uint64_t id, std::size_t total_bytes);
+  /// pool became active.
+  void register_transfer(std::uint64_t id);
   /// Idempotent; forgets QoS accounting (held slots return via the pool).
   void unregister_transfer(std::uint64_t id);
   std::size_t active_transfers() const { return xfers_.size(); }
@@ -118,7 +117,7 @@ class TransferScheduler {
   /// true under kFifo (the pool itself is the only limit — legacy). Fair
   /// policies guarantee each active transfer its reserve, protect other
   /// transfers' unmet reserves from overflow claims, and hand scarce
-  /// overflow out in policy order.
+  /// overflow out in round-robin turn order.
   bool may_acquire(std::uint64_t id);
   /// Bookkeeping for a pool buffer actually taken / returned by `id`.
   void note_acquired(std::uint64_t id);
@@ -134,10 +133,9 @@ class TransferScheduler {
 
   // -- adaptive pipeline depth -------------------------------------------
   /// Current cap on staged-but-unacknowledged chunks per sending
-  /// transfer. Unbounded under kFifo with max_inflight_chunks = 0 —
-  /// unless ECN feedback is enabled (ecn_backlog_ns > 0), which activates
-  /// the adaptive depth even under kFifo so fabric congestion can throttle
-  /// the pipeline.
+  /// transfer. Unbounded under kFifo — unless ECN feedback is enabled
+  /// (ecn_backlog_ns > 0), which activates the adaptive depth even under
+  /// kFifo so fabric congestion can throttle the pipeline.
   std::size_t inflight_cap() const;
 
   // -- ECN congestion feedback -------------------------------------------
@@ -187,7 +185,6 @@ class TransferScheduler {
  private:
   struct Xfer {
     std::size_t held = 0;  // pooled slots currently held
-    std::size_t total_bytes = 0;
     std::uint64_t last_ask = 0;  // ask-clock stamp of the latest attempt
     std::uint64_t ecn_marks = 0;  // congestion-marked acks for this transfer
     bool waiting = false;
@@ -200,21 +197,18 @@ class TransferScheduler {
   /// RndvSend still guarantees progress then).
   std::size_t reserve_effective() const;
   std::size_t unmet_reserve_excluding(std::uint64_t id) const;
-  /// Optimistic grow ceiling: max(recv_window, pool capacity), clamped by
-  /// max_inflight_chunks. Staging past the receiver's window is prefetch
-  /// an uncontended transfer is welcome to.
+  /// Optimistic grow ceiling: max(recv_window, pool capacity). Staging
+  /// past the receiver's window is prefetch an uncontended transfer is
+  /// welcome to.
   std::size_t depth_max() const;
-  /// Opening depth: the receive window (clamped by max_inflight_chunks) —
-  /// conservative so a burst's first transfer cannot hoard the pool
-  /// before its siblings register.
+  /// Opening depth: the receive window — conservative so a burst's first
+  /// transfer cannot hoard the pool before its siblings register.
   std::size_t depth_init() const;
   void grant(std::uint64_t id, Xfer& x, bool from_reserve);
   void deny(std::uint64_t id, Xfer& x, bool pool_contended);
   /// Drop waiting entries whose transfer unregistered or stopped asking
   /// (its frontier moved on); a stale head must not gate live claimants.
   void prune_waiting();
-  /// Which waiting transfer owns the next scarce overflow slot.
-  std::uint64_t overflow_head() const;
 
   struct PendingAck {
     int peer = -1;

@@ -4,7 +4,7 @@
 // core::rndv and the scheduler used to be hard-wired to netsim::Endpoint —
 // every transfer crossed the simulated HCA, even between ranks that the
 // topology places on the same node. Transport abstracts the wire path
-// (post_send / post_rdma_write / post_rdma_read / poll), and TransportRouter
+// (post_send / post_rdma_write / poll), and TransportRouter
 // picks one per peer:
 //
 //   * FabricTransport — pure delegation to the verbs-shaped RDMA fabric
@@ -49,7 +49,6 @@ struct TransportStats {
   std::uint64_t messages_sent = 0;  // two-sided control/eager messages
   std::uint64_t bytes_sent = 0;     // payload bytes handed to the transport
   std::uint64_t rdma_writes = 0;    // one-sided writes (peer copies on IPC)
-  std::uint64_t rdma_reads = 0;
   sim::SimTime busy_time = 0;       // transmit-pipeline occupancy
 };
 
@@ -74,12 +73,6 @@ class Transport {
   virtual std::uint64_t post_rdma_write(
       int dst, const void* local, void* remote, std::size_t bytes,
       std::optional<netsim::WireMessage> imm = std::nullopt) = 0;
-
-  /// Post a one-sided read of `bytes` from `remote` (on `src`) into
-  /// `local`.
-  virtual std::uint64_t post_rdma_read(int src, void* local,
-                                       const void* remote,
-                                       std::size_t bytes) = 0;
 
   /// Drain one completion; false if this transport's CQ is empty.
   virtual bool poll(netsim::Completion& out) = 0;
@@ -107,8 +100,6 @@ class FabricTransport final : public Transport {
   std::uint64_t post_rdma_write(
       int dst, const void* local, void* remote, std::size_t bytes,
       std::optional<netsim::WireMessage> imm) override;
-  std::uint64_t post_rdma_read(int src, void* local, const void* remote,
-                               std::size_t bytes) override;
   bool poll(netsim::Completion& out) override;
   void set_wakeup(sim::Notifier* n) override;
   TransportStats stats() const override;
@@ -127,8 +118,6 @@ class IpcTransport final : public Transport {
   std::uint64_t post_rdma_write(
       int dst, const void* local, void* remote, std::size_t bytes,
       std::optional<netsim::WireMessage> imm) override;
-  std::uint64_t post_rdma_read(int src, void* local, const void* remote,
-                               std::size_t bytes) override;
   bool poll(netsim::Completion& out) override;
   void set_wakeup(sim::Notifier* n) override;
   bool device_direct() const override { return true; }
@@ -201,10 +190,6 @@ class TransportRouter {
       std::optional<netsim::WireMessage> imm = std::nullopt) {
     return route(dst).post_rdma_write(dst, local, remote, bytes,
                                       std::move(imm));
-  }
-  std::uint64_t post_rdma_read(int src, void* local, const void* remote,
-                               std::size_t bytes) {
-    return route(src).post_rdma_read(src, local, remote, bytes);
   }
 
   /// Drain one completion from the first transport (in registration

@@ -26,10 +26,7 @@ void TriggerGraph::fire() {
       while (chain.frontier < chain.nodes.size()) {
         Node& node = chain.nodes[chain.frontier];
         if (node.gate && !node.gate()) break;
-        node.fired = true;
         ++chain.frontier;
-        ++chain.fired;
-        ++nodes_fired_;
         if (stats_ != nullptr) ++stats_->triggers_fired;
         if (node.action) node.action();
       }
@@ -38,26 +35,12 @@ void TriggerGraph::fire() {
         if (node.fired) continue;
         if (node.gate && !node.gate()) continue;
         node.fired = true;
-        ++chain.fired;
-        ++nodes_fired_;
         if (stats_ != nullptr) ++stats_->triggers_fired;
         if (node.action) node.action();
       }
     }
     if (chain.epilogue) chain.epilogue();
   }
-}
-
-bool TriggerGraph::complete() const {
-  for (const auto& chain : chains_) {
-    if (chain.fired < chain.nodes.size()) return false;
-  }
-  return true;
-}
-
-void TriggerGraph::clear() {
-  chains_.clear();
-  nodes_fired_ = 0;
 }
 
 }  // namespace mv2gnc::core

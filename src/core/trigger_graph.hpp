@@ -68,18 +68,13 @@ class TriggerGraph {
   /// One pass: walk chains in declaration order, firing ready nodes.
   void fire();
 
-  /// Every node in every chain has fired.
-  bool complete() const;
-
-  std::size_t nodes_fired() const { return nodes_fired_; }
-  bool empty() const { return chains_.empty(); }
-  void clear();
+  void clear() { chains_.clear(); }
 
  private:
   struct Node {
     Gate gate;
     Action action;
-    bool fired = false;
+    bool fired = false;  // kSparse only; kFrontier tracks its frontier
   };
   struct Chain {
     ChainKind kind = ChainKind::kFrontier;
@@ -87,11 +82,9 @@ class TriggerGraph {
     Action epilogue;
     std::vector<Node> nodes;
     std::size_t frontier = 0;  // kFrontier: first unfired node
-    std::size_t fired = 0;
   };
 
   std::vector<Chain> chains_;
-  std::size_t nodes_fired_ = 0;
   TriggerStats* stats_ = nullptr;
 };
 

@@ -47,10 +47,6 @@ void Tunables::validate() const {
     throw std::invalid_argument(
         "tunables: ack_coalesce_window_ns must be below rndv_timeout_ns");
   }
-  if (rndv_backoff_factor < 1.0) {
-    throw std::invalid_argument(
-        "tunables: rndv_backoff_factor must be >= 1.0");
-  }
   if (rank_skew_ns < 0) {
     throw std::invalid_argument("tunables: rank_skew_ns must be >= 0");
   }
@@ -114,13 +110,6 @@ ChunkSelect parse_chunk_select(const std::string& v) {
       "tunables: chunk_select must be 'model' or 'fixed', got: " + v);
 }
 
-SchemeSelect parse_scheme_select(const std::string& v) {
-  if (v == "model") return SchemeSelect::kModel;
-  if (v == "tunable") return SchemeSelect::kTunable;
-  throw std::invalid_argument(
-      "tunables: scheme_select must be 'model' or 'tunable', got: " + v);
-}
-
 TransportSelect parse_transport_select(const std::string& v) {
   if (v == "auto") return TransportSelect::kAuto;
   if (v == "fabric") return TransportSelect::kFabric;
@@ -166,9 +155,8 @@ const char* coll_select_name(CollSelect s) {
 SchedPolicy parse_sched_policy(const std::string& v) {
   if (v == "fifo") return SchedPolicy::kFifo;
   if (v == "fair") return SchedPolicy::kFair;
-  if (v == "bytes") return SchedPolicy::kBytesWeighted;
   throw std::invalid_argument(
-      "tunables: sched_policy must be 'fifo', 'fair' or 'bytes', got: " + v);
+      "tunables: sched_policy must be 'fifo' or 'fair', got: " + v);
 }
 
 RouteSelect parse_route_select(const std::string& v) {
@@ -193,7 +181,6 @@ const char* sched_policy_name(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kFifo: return "fifo";
     case SchedPolicy::kFair: return "fair";
-    case SchedPolicy::kBytesWeighted: return "bytes";
   }
   return "fifo";
 }
@@ -232,9 +219,7 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "recv_window") t.recv_window = std::stoull(value);
       else if (key == "gpu_offload") t.gpu_offload = parse_bool(value, key);
       else if (key == "chunk_select") t.chunk_select = parse_chunk_select(value);
-      else if (key == "scheme_select") t.scheme_select = parse_scheme_select(value);
       else if (key == "pipelining") t.pipelining = parse_bool(value, key);
-      else if (key == "rget") t.rget = parse_bool(value, key);
       else if (key == "sched_policy") t.sched_policy = parse_sched_policy(value);
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
@@ -245,11 +230,9 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
       else if (key == "ecn_restore_chunks") t.ecn_restore_chunks = std::stoull(value);
       else if (key == "vbuf_reserve_per_transfer") t.vbuf_reserve_per_transfer = std::stoull(value);
-      else if (key == "max_inflight_chunks") t.max_inflight_chunks = std::stoull(value);
       else if (key == "ack_coalesce_window_ns") t.ack_coalesce_window_ns = std::stoll(value);
       else if (key == "rndv_timeout_ns") t.rndv_timeout_ns = std::stoll(value);
       else if (key == "rndv_max_retries") t.rndv_max_retries = std::stoull(value);
-      else if (key == "rndv_backoff_factor") t.rndv_backoff_factor = std::stod(value);
       else if (key == "rank_skew_ns") t.rank_skew_ns = std::stoll(value);
       else if (key == "rank_stall_prob") t.rank_stall_prob = std::stod(value);
       else if (key == "rank_stall_ns") t.rank_stall_ns = std::stoll(value);
@@ -292,10 +275,7 @@ std::string Tunables::to_config_string() const {
      << "gpu_offload = " << (gpu_offload ? "true" : "false") << "\n"
      << "chunk_select = "
      << (chunk_select == ChunkSelect::kModel ? "model" : "fixed") << "\n"
-     << "scheme_select = "
-     << (scheme_select == SchemeSelect::kModel ? "model" : "tunable") << "\n"
      << "pipelining = " << (pipelining ? "true" : "false") << "\n"
-     << "rget = " << (rget ? "true" : "false") << "\n"
      << "sched_policy = " << sched_policy_name(sched_policy) << "\n"
      << "ranks_per_node = " << ranks_per_node << "\n"
      << "transport_select = "
@@ -308,11 +288,9 @@ std::string Tunables::to_config_string() const {
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
      << "ecn_restore_chunks = " << ecn_restore_chunks << "\n"
      << "vbuf_reserve_per_transfer = " << vbuf_reserve_per_transfer << "\n"
-     << "max_inflight_chunks = " << max_inflight_chunks << "\n"
      << "ack_coalesce_window_ns = " << ack_coalesce_window_ns << "\n"
      << "rndv_timeout_ns = " << rndv_timeout_ns << "\n"
      << "rndv_max_retries = " << rndv_max_retries << "\n"
-     << "rndv_backoff_factor = " << rndv_backoff_factor << "\n"
      << "rank_skew_ns = " << rank_skew_ns << "\n"
      << "rank_stall_prob = " << rank_stall_prob << "\n"
      << "rank_stall_ns = " << rank_stall_ns << "\n"

@@ -21,12 +21,6 @@ enum class ChunkSelect {
   kFixed,  // always use chunk_bytes (the paper's configured 64 KB)
 };
 
-/// How the GPU pack scheme (nc2c vs nc2c2c) is chosen per message.
-enum class SchemeSelect {
-  kModel,    // compare modeled PCIe-2D vs device-pack+contiguous-D2H cost
-  kTunable,  // follow the gpu_offload flag unconditionally
-};
-
 /// How the wire path to each peer is chosen (see docs/SIMULATION.md,
 /// "Node topology and transport selection").
 enum class TransportSelect {
@@ -37,7 +31,7 @@ enum class TransportSelect {
 /// How collective algorithms are chosen per call (see docs/COLLECTIVES.md).
 enum class CollSelect {
   kAuto,  // two-level when the topology co-locates ranks and the cost model
-          // favors the intra-node leg (mirrors scheme_select = model)
+          // favors the intra-node leg (mirrors the model-picked pack scheme)
   kFlat,  // force single-level algorithms (the one-process-per-node paper era)
   kHier,  // force the two-level path wherever a comm spans >1 rank on a node
 };
@@ -45,9 +39,8 @@ enum class CollSelect {
 /// How concurrent transfers of one rank share the vbuf pool and the wire
 /// (see docs/CONCURRENCY.md).
 enum class SchedPolicy {
-  kFifo,           // first-grabber-wins vbuf acquisition (legacy behavior)
-  kFair,           // round-robin turns + per-transfer vbuf reservations
-  kBytesWeighted,  // like kFair, but larger transfers get overflow priority
+  kFifo,  // first-grabber-wins vbuf acquisition (legacy behavior)
+  kFair,  // round-robin turns + per-transfer vbuf reservations
 };
 
 /// How messages pick among the parallel shared links of a multi-path
@@ -71,6 +64,10 @@ enum class CollDevice {
   kAuto,       // cost sketch picks staged vs pipelined per call
 };
 
+/// Timeout multiplier applied after each rendezvous retry (exponential
+/// backoff); the collective watchdog budgets the same schedule.
+inline constexpr double kRndvBackoffFactor = 2.0;
+
 struct Tunables {
   /// Messages at or below this size use the eager protocol.
   std::size_t eager_threshold = 8 * 1024;
@@ -91,9 +88,8 @@ struct Tunables {
 
   /// Ablation lever: offload datatype pack/unpack to the GPU (D2D2H
   /// nc2c2c). When false, strided data crosses PCIe with cudaMemcpy2D
-  /// directly (D2H nc2c), the paper's non-offloaded alternative.
-  /// Consulted when scheme_select == kTunable, and as the preference when
-  /// the model considers both schemes equivalent.
+  /// directly (D2H nc2c), the paper's non-offloaded alternative. When
+  /// true, the GPU cost model picks the scheme per message.
   bool gpu_offload = true;
 
   /// Per-message pipeline chunk-size policy. kModel picks the chunk that
@@ -101,9 +97,6 @@ struct Tunables {
   /// chunk_bytes. The detected-per-cluster config file of §IV-B maps to
   /// kFixed with a measured chunk_bytes.
   ChunkSelect chunk_select = ChunkSelect::kModel;
-
-  /// Per-message pack-scheme policy (see SchemeSelect).
-  SchemeSelect scheme_select = SchemeSelect::kModel;
 
   /// Ablation lever: overlap the transfer stages. When false the message
   /// moves as a single block (n = 1 in the paper's (n+2) model).
@@ -121,23 +114,11 @@ struct Tunables {
   /// active transfers outnumber capacity / reserve).
   std::size_t vbuf_reserve_per_transfer = 2;
 
-  /// Upper bound on staged-but-unacknowledged chunks per sending transfer.
-  /// 0 defers to recv_window under fair policies and means "unbounded"
-  /// under kFifo (legacy). Fair policies adapt the effective depth between
-  /// 1 and this bound as the pool fills and drains.
-  std::size_t max_inflight_chunks = 0;
-
   /// CHUNK_ACK/credit coalescing window: acks accumulated for this many
   /// virtual nanoseconds are batched into one control message (and flushed
   /// early by any outgoing control message to the same peer). 0 sends
   /// every ack individually (legacy).
   sim::SimTime ack_coalesce_window_ns = 0;
-
-  /// Receiver-driven rendezvous (RGET): for host-contiguous send buffers,
-  /// the RTS advertises the source address and a host-contiguous receiver
-  /// RDMA-READs the data directly, skipping the CTS leg. Mirrors
-  /// MVAPICH2's RPUT/RGET protocol selection. Off by default (RPUT).
-  bool rget = false;
 
   // -- node topology / transport selection -------------------------------
   /// Processes per simulated node. Ranks r with the same r / ranks_per_node
@@ -197,9 +178,6 @@ struct Tunables {
   /// Retransmission attempts per transfer before it is failed with a
   /// request error (0 disables retransmission entirely).
   std::size_t rndv_max_retries = 6;
-
-  /// Timeout multiplier applied after each retry (exponential backoff).
-  double rndv_backoff_factor = 2.0;
 
   // -- fault injection / failover (docs/RELIABILITY.md) ------------------
   /// Startup skew: each rank delays a seeded uniform [0, rank_skew_ns]

@@ -100,7 +100,7 @@ struct RankStats {
   // -- intra-node IPC transport (all zero unless the topology co-locates
   //    this rank with a peer and transport_select is kAuto) ---------------
   std::uint64_t ipc_messages_sent = 0;  // control messages over the channel
-  std::uint64_t ipc_copies = 0;         // one-sided peer copies (wr + rd)
+  std::uint64_t ipc_copies = 0;         // one-sided peer copies (writes)
   std::uint64_t ipc_bytes_sent = 0;     // bytes moved without touching the HCA
   sim::SimTime ipc_busy = 0;            // channel transmit-pipeline busy time
   std::uint64_t ipc_faults_injected = 0;  // drops/jitters/fails at the channel

@@ -116,7 +116,7 @@ sim::SimTime CollEngine::watchdog_budget() const {
   double step = static_cast<double>(tun.rndv_timeout_ns);
   for (std::size_t i = 0; i <= 2 * tun.rndv_max_retries; ++i) {
     budget += step;
-    step *= tun.rndv_backoff_factor;
+    step *= core::kRndvBackoffFactor;
     if (!(budget < kCapNs)) break;
   }
   budget *= tun.coll_watchdog_factor;

@@ -71,9 +71,9 @@ struct CollStats {
 };
 
 /// Cost facts CollSelect::kAuto consults, derived by the Cluster from its
-/// fabric and IPC cost models (mirroring how scheme_select = model reads
-/// the GPU cost model). Defaults match the stock QDR-IB + C2050 testbed so
-/// a bare RankComm still selects sensibly in unit tests.
+/// fabric and IPC cost models (mirroring how the pack scheme is picked
+/// from the GPU cost model). Defaults match the stock QDR-IB + C2050
+/// testbed so a bare RankComm still selects sensibly in unit tests.
 struct CollCostHints {
   double fabric_bw = 3.2;                // GB/s across the HCA
   sim::SimTime fabric_latency_ns = 1500;

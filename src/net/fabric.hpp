@@ -89,13 +89,6 @@ class Endpoint {
                                 std::size_t bytes,
                                 std::optional<WireMessage> imm = std::nullopt);
 
-  /// Post a one-sided RDMA READ of `bytes` from `remote` (an address on
-  /// node `src`) into `local`. The read request crosses the wire, the
-  /// response serializes on the *target's* transmit pipeline, and a
-  /// kRdmaReadComplete lands on this CQ once the data is local.
-  std::uint64_t post_rdma_read(int src, void* local, const void* remote,
-                               std::size_t bytes);
-
   /// Drain one completion; false if the CQ is empty.
   bool poll(Completion& out);
 
@@ -108,7 +101,6 @@ class Endpoint {
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t rdma_writes() const { return rdma_writes_; }
-  std::uint64_t rdma_reads() const { return rdma_reads_; }
   sim::SimTime tx_busy_time() const { return tx_.total_busy_time(); }
 
   /// Faults injected on operations *posted by this endpoint*.
@@ -137,7 +129,6 @@ class Endpoint {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t rdma_writes_ = 0;
-  std::uint64_t rdma_reads_ = 0;
   FaultCounters fault_counters_;
 };
 

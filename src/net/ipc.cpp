@@ -180,42 +180,6 @@ std::uint64_t IpcPort::post_rdma_write(int dst, const void* local,
   return wr;
 }
 
-std::uint64_t IpcPort::post_rdma_read(int src, void* local,
-                                      const void* remote, std::size_t bytes) {
-  if (!channel_.has_rank(src)) {
-    throw std::out_of_range("IpcPort::post_rdma_read: rank " +
-                            std::to_string(src) + " is not on this node");
-  }
-  if ((local == nullptr || remote == nullptr) && bytes > 0) {
-    throw std::invalid_argument("IpcPort::post_rdma_read: null buffer");
-  }
-  const IpcCostModel& c = channel_.cost();
-  engine_.delay(c.post_overhead_ns);
-  const std::uint64_t wr = next_wr_++;
-  ++rdma_reads_;
-  IpcPort* target = &channel_.port(src);
-  const double bw = channel_.copy_bw(remote, local, bytes);
-  // Request crosses the channel, the copy serializes on the target's
-  // pipeline, completion crosses back (mirrors the fabric's read shape).
-  engine_.schedule_after(c.latency_ns, [this, target, local, remote, bytes,
-                                        wr, bw] {
-    const IpcCostModel& cc = channel_.cost();
-    target->tx_.submit(
-        cc.per_msg_overhead_ns + cc.copy_time(bytes, bw),
-        [this, local, remote, bytes, wr] {
-          engine_.schedule_after(channel_.cost().latency_ns,
-                                 [this, local, remote, bytes, wr] {
-                                   if (bytes > 0) {
-                                     std::memcpy(local, remote, bytes);
-                                   }
-                                   deliver(Completion{
-                                       CqType::kRdmaReadComplete, wr, {}});
-                                 });
-        });
-  });
-  return wr;
-}
-
 IpcChannel::IpcChannel(sim::Engine& engine,
                        const gpu::MemoryRegistry& registry, IpcCostModel cost)
     : engine_(engine), registry_(registry), cost_(cost) {}

@@ -103,11 +103,6 @@ class IpcPort {
                                 std::size_t bytes,
                                 std::optional<WireMessage> imm = std::nullopt);
 
-  /// Post a one-sided read of `bytes` from `remote` (owned by co-located
-  /// rank `src`) into `local`.
-  std::uint64_t post_rdma_read(int src, void* local, const void* remote,
-                               std::size_t bytes);
-
   /// Drain one completion; false if the CQ is empty.
   bool poll(Completion& out);
 
@@ -119,7 +114,6 @@ class IpcPort {
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t rdma_writes() const { return rdma_writes_; }
-  std::uint64_t rdma_reads() const { return rdma_reads_; }
   sim::SimTime tx_busy_time() const { return tx_.total_busy_time(); }
   /// Faults this port's transmit pipeline injected (same accounting side
   /// as Endpoint::fault_counters: the sender decides).
@@ -146,7 +140,6 @@ class IpcPort {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t rdma_writes_ = 0;
-  std::uint64_t rdma_reads_ = 0;
   FaultCounters fault_counters_;
 };
 

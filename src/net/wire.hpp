@@ -37,12 +37,11 @@ struct WireMessage {
 
 /// CQ entry types.
 enum class CqType {
-  kRecv,              // a WireMessage arrived (two-sided or RDMA immediate)
-  kSendComplete,      // post_send drained; buffer reusable
-  kRdmaComplete,      // post_rdma_write drained locally; buffer reusable
-  kRdmaReadComplete,  // post_rdma_read data has landed locally
-  kError,             // a posted WR failed in transport (fault injection);
-                      // wr_id identifies the failed post_rdma_write
+  kRecv,          // a WireMessage arrived (two-sided or RDMA immediate)
+  kSendComplete,  // post_send drained; buffer reusable
+  kRdmaComplete,  // post_rdma_write drained locally; buffer reusable
+  kError,         // a posted WR failed in transport (fault injection);
+                  // wr_id identifies the failed post_rdma_write
 };
 
 struct Completion {

@@ -45,7 +45,7 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm, double fail_write) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck,
                    core::kSendDone, core::kRtsAck, core::kSendDoneAck,
                    core::kSendAbort}) {
     fm.set_kind(kind, ctrl);
@@ -196,7 +196,6 @@ TEST(Reliability, ExhaustedRetriesFailTheRequestInBoundedSimTime) {
   cfg.rng_seed = 3;
   cfg.tunables.rndv_timeout_ns = 1'000'000;  // 1 ms
   cfg.tunables.rndv_max_retries = 3;
-  cfg.tunables.rndv_backoff_factor = 2.0;
   netsim::FaultSpec black_hole;
   black_hole.drop_send = 1.0;
   cfg.faults.set_pair(0, 1, black_hole);
@@ -274,50 +273,6 @@ TEST(Reliability, StallWatchdogDegradesToPinnedSlots) {
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GT(cluster.retry_stats(0).stall_fallbacks, 0u);
   EXPECT_EQ(cluster.retry_stats(0).transfer_failures, 0u);
-}
-
-TEST(Reliability, RgetDoneLossIsReplayedOnDuplicateRts) {
-  // Receiver-driven rendezvous: the kRndvDone is the only completion signal
-  // the sender gets. Losing it must be recovered by the RTS-retransmit /
-  // done-replay pair.
-  ClusterConfig cfg;
-  cfg.rng_seed = 21;
-  cfg.tunables.rget = true;
-  cfg.tunables.rndv_timeout_ns = 200'000;
-  cfg.tunables.rndv_max_retries = 40;
-  netsim::FaultSpec done_loss;
-  done_loss.drop_send = 0.8;
-  cfg.faults.set_kind(core::kRndvDone, done_loss);
-  Cluster cluster(cfg);
-  std::size_t mismatches = 0;
-  cluster.run([&](Context& ctx) {
-    const int n = 1 << 20;  // host-contiguous 1 MB: the RGET-eligible shape
-    auto byte_t = committed(Datatype::byte());
-    std::vector<std::byte> buf(static_cast<std::size_t>(n));
-    if (ctx.rank == 0) {
-      for (int i = 0; i < n; ++i) {
-        buf[static_cast<std::size_t>(i)] =
-            static_cast<std::byte>((i * 17 + 3) & 0xFF);
-      }
-      ctx.comm.send(buf.data(), n, byte_t, 1, 0);
-    } else {
-      ctx.comm.recv(buf.data(), n, byte_t, 0, 0);
-      for (int i = 0; i < n; i += 991) {
-        if (buf[static_cast<std::size_t>(i)] !=
-            static_cast<std::byte>((i * 17 + 3) & 0xFF)) {
-          ++mismatches;
-        }
-      }
-    }
-    ctx.comm.barrier();
-  });
-  expect_pools_quiesced(cluster);
-  EXPECT_EQ(mismatches, 0u);
-  const core::RetryStats& snd = cluster.retry_stats(0);
-  const core::RetryStats& rcv = cluster.retry_stats(1);
-  EXPECT_GT(snd.rts_retransmits, 0u);
-  EXPECT_GT(rcv.done_resent, 0u);
-  EXPECT_EQ(snd.transfer_failures, 0u);
 }
 
 TEST(Reliability, LateReceiverOutlastsRetryBudget) {
@@ -597,7 +552,7 @@ TEST(Reliability, FaultEventsAppearInTrace) {
   for (const char* cat :
        {"fault_timeout", "fault_rts_retransmit", "fault_chunk_retransmit",
         "fault_error_retransmit", "fault_ack_resent", "fault_cts_resent",
-        "fault_done_resent", "fault_stall_fallback"}) {
+        "fault_stall_fallback"}) {
     traced += cluster.trace().count(cat);
   }
   EXPECT_GT(traced, 0u);

@@ -147,7 +147,7 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
   ctrl.drop_send = drop_send;
   ctrl.jitter_ns = jitter_ns;
   for (int kind : {core::kRts, core::kCts, core::kChunkAck,
-                   core::kChunkAckBatch, core::kRndvDone, core::kSendDone,
+                   core::kChunkAckBatch, core::kSendDone,
                    core::kRtsAck, core::kSendDoneAck, core::kSendAbort}) {
     fm.set_kind(kind, ctrl);
   }
@@ -295,68 +295,6 @@ TEST(Sched, FairShrinksCompletionSpreadUnderPoolContention) {
             f.sender_retries.stall_fallbacks + f.receiver_retries.stall_fallbacks);
 }
 
-TEST(Sched, BytesWeightedPolicyCompletesByteExact) {
-  ClusterConfig cfg = fair_config();
-  cfg.tunables.sched_policy = core::SchedPolicy::kBytesWeighted;
-  cfg.tunables.vbuf_count = 8;
-  cfg.tunables.recv_window = 4;
-  const ConcResult res = run_concurrent(cfg, 4, 1 << 16);
-  EXPECT_EQ(res.mismatches, 0u);
-  EXPECT_EQ(res.sender_retries.transfer_failures, 0u);
-}
-
-// One contiguous device-to-device transfer of `bytes` (the D2H staging
-// path, no pack kernels — so the scheduler's in-flight cap, not the pack
-// engine, is what limits the stage frontier). Returns the run's elapsed
-// virtual time; the payload is verified inside.
-sim::SimTime run_contig(const ClusterConfig& cfg, int bytes) {
-  Cluster cluster(cfg);
-  std::size_t mismatches = 0;
-  cluster.run([&](Context& ctx) {
-    auto byte_t = committed(Datatype::byte());
-    auto* dev = static_cast<std::byte*>(
-        ctx.cuda->malloc(static_cast<std::size_t>(bytes)));
-    if (ctx.rank == 0) {
-      std::vector<std::byte> host(static_cast<std::size_t>(bytes));
-      for (int i = 0; i < bytes; ++i) {
-        host[static_cast<std::size_t>(i)] = pattern(
-            static_cast<std::size_t>(i), 0);
-      }
-      ctx.cuda->memcpy(dev, host.data(), static_cast<std::size_t>(bytes));
-      ctx.comm.send(dev, bytes, byte_t, 1, 0);
-    } else {
-      ctx.cuda->memset(dev, 0, static_cast<std::size_t>(bytes));
-      ctx.comm.recv(dev, bytes, byte_t, 0, 0);
-      std::vector<std::byte> out(static_cast<std::size_t>(bytes));
-      ctx.cuda->memcpy(out.data(), dev, static_cast<std::size_t>(bytes));
-      for (int i = 0; i < bytes; i += 2099) {
-        if (out[static_cast<std::size_t>(i)] !=
-            pattern(static_cast<std::size_t>(i), 0)) {
-          ++mismatches;
-        }
-      }
-    }
-    ctx.comm.barrier();
-    ctx.cuda->free(dev);
-  });
-  EXPECT_EQ(mismatches, 0u);
-  expect_pools_quiesced(cluster);
-  return cluster.elapsed();
-}
-
-TEST(Sched, InflightCapOneSerializesThePipeline) {
-  // max_inflight_chunks = 1 degenerates the pipeline to chunk-at-a-time
-  // (each chunk waits for the previous chunk's ack — the paper's n = 1
-  // non-pipelined shape): still byte-exact, strictly slower than the
-  // windowed pipeline.
-  ClusterConfig windowed = fair_config();
-  ClusterConfig capped = fair_config();
-  capped.tunables.max_inflight_chunks = 1;
-  const sim::SimTime fast = run_contig(windowed, 1 << 20);
-  const sim::SimTime slow = run_contig(capped, 1 << 20);
-  EXPECT_GT(slow, fast);
-}
-
 TEST(Sched, AdaptiveDepthShrinksUnderContentionAndGrowsBackWhenCalm) {
   // Phase 1: four contiguous 512 KB transfers fight over an 8-slot pool —
   // pool-contended denials halve the sender's pipeline depth. Phase 2
@@ -424,7 +362,7 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   tun.ecn_restore_chunks = 4;
   core::TransferScheduler sched(eng, pool, tun, router);
   ASSERT_TRUE(sched.ecn_enabled());
-  sched.register_transfer(7, 1 << 20);
+  sched.register_transfer(7);
   const std::size_t open = sched.inflight_cap();
   EXPECT_GT(open, 1u);
   sched.note_chunk_ack(7, /*congested=*/true);
@@ -455,7 +393,7 @@ TEST(Sched, EcnDisabledIgnoresMarkedAcks) {
   core::Tunables tun;  // ecn_backlog_ns = 0: feedback off
   core::TransferScheduler sched(eng, pool, tun, router);
   ASSERT_FALSE(sched.ecn_enabled());
-  sched.register_transfer(3, 1 << 20);
+  sched.register_transfer(3);
   const std::size_t cap = sched.inflight_cap();
   sched.note_chunk_ack(3, /*congested=*/true);
   EXPECT_EQ(sched.inflight_cap(), cap);

@@ -165,7 +165,7 @@ sim::SimTime run_stencil(Spelling spelling, std::size_t bytes, int iters) {
 void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck,
                    core::kSendDone, core::kRtsAck, core::kSendDoneAck}) {
     fm.set_kind(kind, ctrl);
   }
